@@ -139,7 +139,13 @@ def _run(args: argparse.Namespace) -> int:
             print(forests.print_forest(forest))
 
     elif cmd == "number-of":
-        print(bijection.number_of(forests.parse_forest(args.brackets), table))
+        n = bijection.number_of(forests.parse_forest(args.brackets), table)
+        digits = sys.get_int_max_str_digits()  # lifted for this exact integer only
+        sys.set_int_max_str_digits(0)
+        try:
+            print(n)
+        finally:
+            sys.set_int_max_str_digits(digits)
 
     elif cmd == "stats":
         st = bijection.stats_of(args.n, table)

@@ -9,7 +9,9 @@ whatever stays unpaired bounds the summatory function in absolute value.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from math import isqrt
 
 import numpy as np
 
@@ -44,13 +46,7 @@ def mobius(k: int, table: PrimeTable | None = None) -> int:
     """0 on a square factor, else (-1)**(number of prime factors)."""
     if k < 1:
         raise ValueError(f"mobius expects k >= 1, got {k}")
-    table = table or default_table()
-    sign = 1
-    for _, e in table.factorize(k):
-        if e > 1:
-            return 0
-        sign = -sign
-    return sign
+    return liouville(k, table) if is_squarefree(k, table) else 0
 
 
 def liouville(k: int, table: PrimeTable | None = None) -> int:
@@ -65,22 +61,47 @@ def sign_of(k: int, mode: str, table: PrimeTable | None = None) -> int:
 
 
 def summatory(n: int, mode: str, table: PrimeTable | None = None) -> int:
-    """Partial sum of the mode's sign function over 1..n, by direct summation."""
+    """Partial sum of the mode's sign function over 1..n, one sieved block at a time."""
     _check_mode(mode)
     if n < 1:
         raise ValueError(f"summatory expects n >= 1, got {n}")
     table = table or default_table()
-    return sum(sign_of(k, mode, table) for k in range(1, n + 1))
+    return sum(int(block.sum()) for block in _sign_blocks(1, n, mode, table))
 
 
-def _squarefree_mask(n: int) -> np.ndarray:
-    mask = np.ones(n + 1, dtype=bool)
-    mask[0] = False
-    p = 2
-    while p * p <= n:
-        mask[p * p :: p * p] = False
-        p += 1
-    return mask
+_SIGN_BLOCK = 1 << 16  # integers per sign-sieve block; bounds its int64 work array
+
+
+def _sign_blocks(
+    lo: int, hi: int, mode: str, table: PrimeTable
+) -> Iterator[np.ndarray]:
+    """int8 signs of lo..hi (lo >= 1), in blocks aligned to multiples of _SIGN_BLOCK.
+
+    Dividing each prime power p**e <= end (p <= sqrt(end)) out of its multiples
+    flips their sign; a remainder above 1 is one more prime, and flips it again.
+    Mobius mode gives multiples of p**2 the sign 0.
+    """
+    while lo <= hi:
+        end = min((lo // _SIGN_BLOCK + 1) * _SIGN_BLOCK - 1, hi)
+        rest = np.arange(lo, end + 1, dtype=np.int64)
+        signs = np.ones(len(rest), dtype=np.int8)
+        for p in table.primes_up_to(isqrt(end)).tolist():
+            power = p
+            while power <= end:
+                multiples = slice((-lo) % power, None, power)
+                rest[multiples] //= p
+                signs[multiples] *= -1
+                if mode == MOBIUS and power > p:
+                    signs[multiples] = 0
+                power *= p
+        signs[rest > 1] *= -1
+        yield signs
+        lo = end + 1
+
+
+def _signs(n: int, mode: str, table: PrimeTable) -> np.ndarray:
+    """Sign of every k in 0..n, indexed by k (0 at k = 0)."""
+    return np.concatenate([np.zeros(1, np.int8), *_sign_blocks(1, n, mode, table)])
 
 
 # -- partner moves -------------------------------------------------------------
@@ -192,14 +213,12 @@ def pair_range(
     if n < 1:
         raise ValueError(f"pair_range expects n >= 1, got {n}")
     table = table or default_table()
-    in_universe = (
-        _squarefree_mask(n) if mode == MOBIUS else np.ones(n + 1, dtype=bool)
-    )
+    signs = _signs(n, mode, table)
     matched = np.zeros(n + 1, dtype=bool)
     pairs: list[tuple[int, int]] = []
     move_log: dict[int, dict] = {}
     for k in range(n, 1, -1):
-        if not in_universe[k] or matched[k]:
+        if not signs[k] or matched[k]:
             continue
         moves = [
             (l, mv)
@@ -217,18 +236,24 @@ def pair_range(
         matched[k] = matched[l] = True
         pairs.append((k, l))
         move_log[k] = mv
-    singletons = [
-        m for m in range(1, n + 1) if in_universe[m] and not matched[m]
-    ]
-    bound = abs(sum(sign_of(m, mode, table) for m in singletons))
+    return _report(n, mode, policy, pairs, signs, move_log)
+
+
+def _report(
+    n: int, mode: str, policy: str, pairs: list, signs: np.ndarray, move_log: dict
+) -> PairingReport:
+    """Report a pairing of 1..n; singletons, bound and exact sum come from signs."""
+    taken = np.zeros(n + 1, dtype=bool)  # members outside 1..n are the validator's
+    taken[[m for pair in pairs for m in pair if 1 <= m <= n]] = True
+    singletons = np.flatnonzero((signs != 0) & ~taken)
     return PairingReport(
         n=n,
         mode=mode,
         policy=policy,
         pairs=pairs,
-        singletons=singletons,
-        bound=bound,
-        exact=summatory(n, mode, table),
+        singletons=singletons.tolist(),
+        bound=abs(int(signs[singletons].sum())),
+        exact=int(signs.sum()),
         move_log=move_log,
     )
 
@@ -246,6 +271,7 @@ def validation_errors(
         return [f"unknown mode {report.mode!r}"]
     n, mode = report.n, report.mode
 
+    signs = _signs(n, mode, table)
     seen: set[int] = set()
     for k, l in report.pairs:
         for m in (k, l):
@@ -256,7 +282,9 @@ def validation_errors(
             seen.add(m)
         if not l < k:
             errs.append(f"pair ({k}, {l}) is not descending")
-        if sign_of(k, mode, table) + sign_of(l, mode, table) != 0:
+        # signs recomputed by factorization, independently of the sieve
+        inside = 1 <= min(k, l) and max(k, l) <= n
+        if inside and sign_of(k, mode, table) + sign_of(l, mode, table) != 0:
             errs.append(f"pair ({k}, {l}) signs do not cancel")
     for m in report.singletons:
         if not (1 <= m <= n):
@@ -265,11 +293,7 @@ def validation_errors(
             errs.append(f"{m} appears both paired and as a singleton")
         seen.add(m)
 
-    universe = {
-        m
-        for m in range(1, n + 1)
-        if mode == LIOUVILLE or is_squarefree(m, table)
-    }
+    universe = set(np.flatnonzero(signs).tolist())
     missing = universe - seen
     alien = seen - universe
     if missing:
@@ -277,10 +301,10 @@ def validation_errors(
     if alien:
         errs.append(f"members outside the pairable universe: {sorted(alien)[:10]}")
 
-    bound = abs(sum(sign_of(m, mode, table) for m in report.singletons))
+    bound = abs(int(signs[[m for m in report.singletons if 1 <= m <= n]].sum()))
     if report.bound != bound:
         errs.append(f"bound {report.bound} != recomputed {bound}")
-    exact = summatory(n, mode, table)
+    exact = int(signs.sum())
     if report.exact != exact:
         errs.append(f"exact {report.exact} != recomputed {exact}")
     if abs(exact) > bound:
@@ -346,20 +370,7 @@ def report_from_pairs(
 ) -> PairingReport:
     """Wrap an externally supplied pairing of 1..n into a checkable report."""
     _check_mode(mode)
+    if n < 1:
+        raise ValueError(f"report_from_pairs expects n >= 1, got {n}")
     table = table or default_table()
-    taken = {m for pair in pairs for m in pair}
-    singletons = [
-        m
-        for m in range(1, n + 1)
-        if m not in taken and (mode == LIOUVILLE or is_squarefree(m, table))
-    ]
-    bound = abs(sum(sign_of(m, mode, table) for m in singletons))
-    return PairingReport(
-        n=n,
-        mode=mode,
-        policy=policy,
-        pairs=list(pairs),
-        singletons=singletons,
-        bound=bound,
-        exact=summatory(n, mode, table),
-    )
+    return _report(n, mode, policy, list(pairs), _signs(n, mode, table), {})

@@ -81,27 +81,15 @@ class PrimeTable:
             self._limit = target
 
     @staticmethod
-    def _simple_sieve(n: int) -> np.ndarray:
-        """All primes <= n by a plain sieve (n stays tiny: sqrt of a segment end)."""
-        if n < 2:
-            return np.empty(0, dtype=np.int64)
-        mask = np.ones(n + 1, dtype=bool)
-        mask[:2] = False
-        for p in range(2, isqrt(n) + 1):
-            if mask[p]:
-                mask[p * p :: p] = False
-        return np.nonzero(mask)[0].astype(np.int64)
-
-    @staticmethod
     def _sieve_segment(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
-        """Primes in [lo, hi], given all primes < lo in ``base``."""
+        """Primes in [lo, hi], given all primes < lo in ``base`` (sieved here if short)."""
         if hi < 2:
             return np.empty(0, dtype=np.int64)
         lo = max(lo, 2)
         mask = np.ones(hi - lo + 1, dtype=bool)
         root = isqrt(hi)
         if len(base) == 0 or base[-1] < root:
-            base = PrimeTable._simple_sieve(root)
+            base = PrimeTable._sieve_segment(2, root, np.empty(0, dtype=np.int64))
         for p in base[: np.searchsorted(base, root, side="right")]:
             p = int(p)
             first = max(p * p, ((lo + p - 1) // p) * p)
@@ -157,22 +145,21 @@ class PrimeTable:
     # -- factorization -----------------------------------------------------
 
     def ensure_factor_sieve(self, limit: int) -> None:
-        """Build (or grow) the smallest-prime-factor sieve up to ``limit``."""
+        """Build (or grow) the smallest-prime-factor sieve to cover at least ``limit``."""
         if self._spf is not None and len(self._spf) > limit:
             return
         with self._lock:
             if self._spf is not None and len(self._spf) > limit:
                 return
-            size = max(limit + 1, 1 << 20)
+            # power-of-two sizes up to the automatic ceiling: O(log k) rebuilds
+            doubled = min(1 << max(limit.bit_length(), 20), _AUTO_FACTOR_SIEVE + 1)
+            size = max(limit + 1, doubled)
             spf = np.zeros(size, dtype=np.int32)
-            spf[2::2] = 2
-            for p in range(3, isqrt(size - 1) + 1, 2):
-                if spf[p] == 0:
-                    sl = spf[p * p :: 2 * p]
-                    sl[sl == 0] = p
-            left = np.nonzero(spf[3::2] == 0)[0]  # odd k with no factor found: prime
-            spf[3::2][left] = (2 * left + 3).astype(np.int32)
-            spf[1] = 1
+            # largest prime first, so each composite keeps its smallest factor
+            for p in reversed(self._sieve_segment(2, isqrt(size - 1), self._primes)):
+                spf[p * p :: p] = p
+            left = spf == 0  # 0, 1 and the primes: each is its own entry
+            spf[left] = np.flatnonzero(left)
             self._spf = spf
 
     def factorize(self, k: int) -> list[tuple[int, int]]:
@@ -182,7 +169,7 @@ class PrimeTable:
         if k == 1:
             return []
         if k <= _AUTO_FACTOR_SIEVE:
-            self.ensure_factor_sieve(min(max(k, 1 << 20), _AUTO_FACTOR_SIEVE))
+            self.ensure_factor_sieve(k)
         spf = self._spf
         if spf is not None and k < len(spf):
             out: list[tuple[int, int]] = []
@@ -198,12 +185,7 @@ class PrimeTable:
 
     def _factorize_trial(self, k: int) -> list[tuple[int, int]]:
         out: list[tuple[int, int]] = []
-        root = isqrt(k)
-        if root > self._limit:
-            self.extend_to(root)
-        i = 0
-        while i < len(self._primes):
-            p = int(self._primes[i])
+        for p in map(int, self.primes_up_to(isqrt(k))):
             if p * p > k:
                 break
             if k % p == 0:
@@ -212,8 +194,6 @@ class PrimeTable:
                     k //= p
                     e += 1
                 out.append((p, e))
-                root = isqrt(k)
-            i += 1
         if k > 1:
             out.append((k, 1))
         return out

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -183,6 +185,31 @@ def test_pair_text_and_json(capsys):
     assert doc["N"] == 50 and doc["bound"] >= abs(doc["exact"])
 
 
+def test_number_of_prints_beyond_the_digit_limit(capsys):
+    limit = sys.get_int_max_str_digits()
+    code, out, _ = run(capsys, "number-of", " ".join(["[]"] * 15000))
+    assert code == 0
+    assert sys.get_int_max_str_digits() == limit  # lifted for the print only
+    sys.set_int_max_str_digits(0)
+    try:
+        assert out == f"{2**15000}\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize(
+    "mode, digest",
+    [
+        ("liouville", "922337441dc9b016469f84b0e59e67b015492c0fcb7194625613262e2c09e4e9"),
+        ("mobius", "a92b89d948841c3af48df1a84600b1fe63ad10066cb04c87dbbb226eae0a2051"),
+    ],
+)
+def test_pair_json_bytes_are_pinned(capsys, mode, digest):
+    code, out, _ = run(capsys, "pair", "3000", "--mode", mode, "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_validate_pairs(capsys, tmp_path):
     code, out, _ = run(capsys, "validate-pairs", FIXTURE, "--max", "96")
     assert code == 0
@@ -193,6 +220,17 @@ def test_validate_pairs(capsys, tmp_path):
     assert code == 3 and "invalid" in err
     code, _, err = run(capsys, "validate-pairs", str(tmp_path / "nope.txt"), "--max", "9")
     assert code == 3
+    code, _, err = run(capsys, "validate-pairs", FIXTURE, "--max", "0")
+    assert code == 3 and "expects n >= 1" in err
+
+
+@pytest.mark.parametrize("member", ["-5", str(10**30)])
+def test_validate_pairs_reports_members_outside_the_range(capsys, tmp_path, member):
+    fixture = tmp_path / "outside.txt"
+    fixture.write_text(f"{member} 3\n")
+    code, _, err = run(capsys, "validate-pairs", str(fixture), "--max", "10")
+    assert code == 3
+    assert f"invalid: pair member {member} outside 1..10" in err
 
 
 def test_cap_overflow_exit_code(capsys):

@@ -117,3 +117,21 @@ def test_cache_absence_is_fine(tmp_path):
 def test_primes_up_to(table):
     assert list(table.primes_up_to(13)) == [2, 3, 5, 7, 11, 13]
     assert list(table.primes_up_to(1)) == []
+
+
+def test_sieve_segment_without_base_primes():
+    # an empty base makes the segment sieve its own base primes up to sqrt(hi)
+    empty = np.empty(0, dtype=np.int64)
+    assert PrimeTable._sieve_segment(2, 5000, empty).tolist() == primes_below(5000)
+    window = PrimeTable._sieve_segment(1_000_000, 1_002_000, empty).tolist()
+    assert window == [p for p in primes_below(1_002_000) if p >= 1_000_000]
+
+
+def test_factor_sieve_grows_geometrically_above_2_20():
+    sympy = pytest.importorskip("sympy")
+    t = PrimeTable()
+    t.factorize(2**20 + 1)
+    spf = t._spf
+    for k in range(2**20 + 2, 2**20 + 202):
+        assert t.factorize(k) == sorted(sympy.factorint(k).items()), k
+    assert t._spf is spf

@@ -1,10 +1,14 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matula import (
     PairingReport,
+    PrimeTable,
     factor_count,
     is_squarefree,
     liouville,
@@ -18,6 +22,7 @@ from matula import (
     validate_report,
     validation_errors,
 )
+from matula import pairing
 from oracles import forest_partners, liouville_brute, mobius_brute
 
 FIXTURE = (Path(__file__).parent / "data" / "pairs_liouville_96.txt").read_text()
@@ -47,6 +52,70 @@ def test_summatory_examples(table):
     assert summatory(1000, "mobius", table) == sum(
         mobius_brute(k) for k in range(1, 1001)
     )
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [
+        (1, 3_000),
+        (pairing._SIGN_BLOCK - 300, pairing._SIGN_BLOCK + 300),
+        (2**20 - 300, 2**20 + 300),
+    ],
+)
+def test_sign_blocks_match_brute_force(table, lo, hi):
+    for mode, brute in (("mobius", mobius_brute), ("liouville", liouville_brute)):
+        blocks = list(pairing._sign_blocks(lo, hi, mode, table))
+        if lo > 1:  # the window straddles a block boundary
+            assert len(blocks) == 2
+        signs = np.concatenate(blocks)
+        assert signs.dtype == np.int8
+        assert signs.tolist() == [brute(k) for k in range(lo, hi + 1)], mode
+
+
+def test_summatory_published_values(table):
+    # Mertens M(10^6) and the Liouville sum L(10^6)
+    assert summatory(10**6, "mobius", table) == 212
+    assert summatory(10**6, "liouville", table) == -530
+
+
+def test_sums_and_fixture_reports_do_not_factorize(monkeypatch):
+    t = PrimeTable()
+
+    def no_factorize(k):
+        raise AssertionError(f"factorize({k}) called")
+
+    monkeypatch.setattr(t, "factorize", no_factorize)
+    assert summatory(96, "liouville", t) == 0
+    report = report_from_pairs(96, "liouville", load_pairs(FIXTURE), table=t)
+    assert (report.singletons, report.bound, report.exact) == ([], 0, 0)
+    report = report_from_pairs(30, "mobius", [(30, 29)], table=t)
+    assert report.exact == summatory(30, "mobius", t)
+
+
+def test_report_from_pairs_rejects_empty_range(table):
+    with pytest.raises(ValueError):
+        report_from_pairs(0, "liouville", [], table=table)
+
+
+member = st.one_of(
+    st.integers(min_value=-50, max_value=250),
+    st.integers(min_value=-(10**30), max_value=10**30),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=200),
+    mode=st.sampled_from(["mobius", "liouville"]),
+    pairs=st.lists(st.tuples(member, member), max_size=12),
+)
+def test_fixture_reports_of_arbitrary_pairs_never_raise(table, n, mode, pairs):
+    report = report_from_pairs(n, mode, pairs, table=table)
+    errors = validation_errors(report, table)
+    for k, l in pairs:
+        for m in (k, l):
+            if not 1 <= m <= n:
+                assert f"pair member {m} outside 1..{n}" in errors
 
 
 def test_summatory_rejects_bad_mode(table):
