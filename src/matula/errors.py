@@ -15,8 +15,11 @@ class CapExceeded(MatulaError):
     def __init__(self, needed: int, cap: int):
         self.needed = needed
         self.cap = cap
+        # a power of two past 2**64: a decimal of thousands of digits is
+        # unreadable and may exceed Python's int-to-str digit limit
+        shown = needed if needed < 2**64 else f"2**{needed.bit_length()}"
         super().__init__(
-            f"operation needs primes up to ~{needed}, beyond the cap {cap}"
+            f"operation needs primes up to ~{shown}, beyond the cap {cap}"
         )
 
 

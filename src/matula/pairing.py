@@ -12,6 +12,7 @@ import json
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from math import isqrt
+from operator import itemgetter
 
 import numpy as np
 
@@ -107,6 +108,47 @@ def _signs(n: int, mode: str, table: PrimeTable) -> np.ndarray:
 # -- partner moves -------------------------------------------------------------
 
 
+def _moves(
+    k: int, factors: list[tuple[int, int]], table: PrimeTable
+) -> Iterator[tuple[int, tuple]]:
+    """(l, compact move) for every l < k one cut or one root fusion reaches.
+
+    ``factors`` is k's factorization.  A compact move is ("cut", q, s, r) or
+    ("fusion", q, r); ``_move_dict`` spells it out.  Each factor's prime rank
+    is looked up once, so a fusion costs one ``nth_prime`` call.
+    """
+    for q, _e in factors:
+        if q < 3:
+            continue
+        for s, r in sorted(cuts(q, table)):
+            l = (k // q) * s * r
+            if l < k:
+                yield l, ("cut", q, s, r)
+    ranks = [table.prime_rank(p) for p, _ in factors]
+    for i, (q, e) in enumerate(factors):
+        for j in range(i, len(factors)):
+            if j == i and e < 2:
+                continue
+            r = factors[j][0]
+            l = (k // (q * r)) * table.nth_prime(ranks[i] * ranks[j])
+            if l < k:
+                yield l, ("fusion", q, r)
+
+
+def _move_dict(move: tuple) -> dict:
+    """The move-log entry of a compact move."""
+    if move[0] == "cut":
+        _, q, s, r = move
+        return {"kind": "cut", "factor": q, "detached": s, "remaining": r}
+    _, q, r = move
+    return {"kind": "fusion", "left": q, "right": r}
+
+
+def _free_moves(k: int, free: bytearray, table: PrimeTable) -> list[tuple[int, tuple]]:
+    """``_moves`` of k whose target l is marked in ``free``."""
+    return [(l, mv) for l, mv in _moves(k, table.factorize(k), table) if free[l]]
+
+
 def partner_moves(
     k: int, mode: str, table: PrimeTable | None = None
 ) -> list[tuple[int, dict]]:
@@ -116,8 +158,10 @@ def partner_moves(
     factor q becomes s*r.  Fusion: pick primes q, r with q*r | k (q == r only
     if q**2 | k); the two factors merge into their fused prime.  Both flip
     the sign; in mobius mode k must be squarefree and candidates with square
-    factors are dropped.  Generation order is deterministic: cuts first by
-    ascending factor then ascending pair, fusions after, smaller factor first.
+    factors are dropped (by factorizing each one; ``pair_range`` reads the
+    same filter from its sign sieve).  Generation order is deterministic:
+    cuts first by ascending factor then ascending pair, fusions after,
+    smaller factor first.
     """
     _check_mode(mode)
     if k < 2:
@@ -126,28 +170,11 @@ def partner_moves(
     factors = table.factorize(k)
     if mode == MOBIUS and any(e > 1 for _, e in factors):
         raise ValueError(f"mobius pairing is over squarefree integers, got {k}")
-    moves: list[tuple[int, dict]] = []
-    for q, _e in factors:
-        if q < 3:
-            continue
-        for s, r in sorted(cuts(q, table)):
-            l = (k // q) * s * r
-            if l < k:
-                moves.append(
-                    (l, {"kind": "cut", "factor": q, "detached": s, "remaining": r})
-                )
-    primes = [p for p, _ in factors]
-    for i, q in enumerate(primes):
-        for j in range(i, len(primes)):
-            r = primes[j]
-            if q == r and factors[i][1] < 2:
-                continue
-            l = (k // (q * r)) * fuse(q, r, table)
-            if l < k:
-                moves.append((l, {"kind": "fusion", "left": q, "right": r}))
-    if mode == MOBIUS:
-        moves = [(l, mv) for l, mv in moves if is_squarefree(l, table)]
-    return moves
+    return [
+        (l, _move_dict(mv))
+        for l, mv in _moves(k, factors, table)
+        if mode == LIOUVILLE or is_squarefree(l, table)
+    ]
 
 
 def partner_candidates(
@@ -204,7 +231,10 @@ def pair_range(
 
     In mobius mode only squarefree integers take part (square-bearing ones
     contribute 0 and stay out of the report); in liouville mode everything
-    does.  A number whose candidates are all taken becomes a singleton; no
+    does.  Candidates are ``partner_moves``' moves in the same order, but
+    filtered by the sign sieve of 1..n instead of one factorization each, so
+    every k is factorized once; only the chosen move becomes a move-log dict.
+    A number whose candidates are all taken becomes a singleton; no
     backtracking is attempted.  Deterministic for fixed (n, mode, policy).
     """
     _check_mode(mode)
@@ -214,28 +244,24 @@ def pair_range(
         raise ValueError(f"pair_range expects n >= 1, got {n}")
     table = table or default_table()
     signs = _signs(n, mode, table)
-    matched = np.zeros(n + 1, dtype=bool)
+    free = bytearray((signs != 0).tobytes())  # 1 while k has a sign and no partner
     pairs: list[tuple[int, int]] = []
     move_log: dict[int, dict] = {}
     for k in range(n, 1, -1):
-        if not signs[k] or matched[k]:
+        if not free[k]:
             continue
-        moves = [
-            (l, mv)
-            for l, mv in partner_moves(k, mode, table)
-            if not matched[l]
-        ]
+        moves = _free_moves(k, free, table)
         if not moves:
             continue
         if policy == "largest":
-            l, mv = max(moves, key=lambda item: item[0])
+            l, mv = max(moves, key=itemgetter(0))
         elif policy == "smallest":
-            l, mv = min(moves, key=lambda item: item[0])
+            l, mv = min(moves, key=itemgetter(0))
         else:  # first in generation order
             l, mv = moves[0]
-        matched[k] = matched[l] = True
+        free[k] = free[l] = 0
         pairs.append((k, l))
-        move_log[k] = mv
+        move_log[k] = _move_dict(mv)
     return _report(n, mode, policy, pairs, signs, move_log)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import os
 import struct
 import threading
-from math import isqrt, log
+from math import ceil, isqrt, log
 
 import numpy as np
 
@@ -27,6 +27,8 @@ def _nth_prime_bound(n: int) -> int:
     """Upper bound for the n-th prime (Rosser: n(log n + log log n) for n >= 6)."""
     if n < 6:
         return 13
+    if n.bit_length() > 1000:  # beyond float range: round the factor up
+        return n * ceil(log(n) + log(log(n)))
     x = float(n)
     return int(x * (log(x) + log(log(x)))) + 8
 
@@ -103,6 +105,13 @@ class PrimeTable:
         """The n-th prime, 1-based (nth_prime(1) == 2)."""
         if n < 1:
             raise ValueError(f"prime index must be >= 1, got {n}")
+        # p_n > n*ln(n) for every n >= 1 (Rosser 1939): fail before sieving.
+        # Compared in logs, which take ints of any size; the margin keeps
+        # float rounding from rejecting a reachable n.
+        if n > max(len(self._primes), 1) and (
+            log(n) + log(log(n)) > log(self.cap) + 1e-9
+        ):
+            raise CapExceeded(_nth_prime_bound(n), self.cap)
         while n > len(self._primes):
             if self._limit >= self.cap:
                 raise CapExceeded(_nth_prime_bound(n), self.cap)
@@ -130,14 +139,14 @@ class PrimeTable:
             return False
         if k > self._limit:
             self.extend_to(k)
-        i = np.searchsorted(self._primes, k)
+        i = self._primes.searchsorted(k)
         return i < len(self._primes) and int(self._primes[i]) == k
 
     def prime_rank(self, q: int) -> int:
         """Rank n such that nth_prime(n) == q; raises NotPrime otherwise."""
         if q > self._limit:
             self.extend_to(q)
-        i = int(np.searchsorted(self._primes, q))
+        i = int(self._primes.searchsorted(q))
         if i >= len(self._primes) or int(self._primes[i]) != q:
             raise NotPrime(q)
         return i + 1
@@ -220,7 +229,10 @@ class PrimeTable:
         except FileNotFoundError:
             return table
         with fh:
-            (n,) = struct.unpack("<Q", fh.read(8))
+            header = fh.read(8)
+            if len(header) < 8:
+                raise ValueError(f"corrupt prime cache: {path}")
+            (n,) = struct.unpack("<Q", header)
             primes = np.frombuffer(fh.read(8 * n), dtype="<i8").astype(np.int64)
         if len(primes) != n or (n and (primes[0] != 2 or np.any(np.diff(primes) <= 0))):
             raise ValueError(f"corrupt prime cache: {path}")

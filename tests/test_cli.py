@@ -210,6 +210,31 @@ def test_pair_json_bytes_are_pinned(capsys, mode, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "mode, policy, digest",
+    [
+        ("liouville", "smallest", "89dc09af31fa04b12753625aafef9627519a31b28d20814ed98e2ce908d24c5f"),
+        ("liouville", "first", "b302194b8874686251ce49e39329d83ea737233aa8f4cfdc24b3563cca906480"),
+        ("mobius", "smallest", "c1cbf35f1d4bdacefda4e509e6df47332381b8a0caa2cbbe4311872ff3a8add1"),
+        ("mobius", "first", "889343ef9c6f0f1cd49ec77ee3e6f7a4f72f67187197330d9aab446fdc5edc28"),
+    ],
+)
+def test_pair_json_bytes_of_other_policies_are_pinned(capsys, mode, policy, digest):
+    code, out, _ = run(
+        capsys, "pair", "3000", "--mode", mode, "--policy", policy, "--format", "json"
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("leaves", [40, 15000])
+def test_number_of_past_the_cap_exits_4_before_sieving(capsys, leaves):
+    # the root's prime has index 2**leaves, far past the 2**32 cap
+    code, _, err = run(capsys, "number-of", "[" + "[]" * leaves + "]")
+    assert code == 4
+    assert "beyond the cap" in err
+
+
 def test_validate_pairs(capsys, tmp_path):
     code, out, _ = run(capsys, "validate-pairs", FIXTURE, "--max", "96")
     assert code == 0

@@ -99,6 +99,16 @@ def test_cap_overflow_signals():
         t.is_prime(10_001)
 
 
+def test_nth_prime_past_the_cap_fails_before_sieving():
+    t = PrimeTable(cap=10**6)
+    with pytest.raises(CapExceeded):
+        t.nth_prime(10**6)  # p_n > n ln n, about 1.4e7
+    assert t.limit < 10**5
+    assert t.nth_prime(78_498) == 999_983  # the last prime below the cap
+    with pytest.raises(CapExceeded, match=r"~2\*\*\d+, beyond"):
+        PrimeTable().nth_prime(2**5000)
+
+
 def test_cache_roundtrip(tmp_path, table):
     table.nth_prime(1_000)
     path = tmp_path / "primes.bin"
@@ -107,6 +117,14 @@ def test_cache_roundtrip(tmp_path, table):
     assert loaded.count == table.count
     assert np.array_equal(loaded.first_n(1_000), table.first_n(1_000))
     assert loaded.limit >= loaded.nth_prime(loaded.count)
+
+
+@pytest.mark.parametrize("header", [b"", b"\x01\x00\x00"])
+def test_cache_with_short_header_is_corrupt(tmp_path, header):
+    path = tmp_path / "primes.bin"
+    path.write_bytes(header)
+    with pytest.raises(ValueError, match="corrupt prime cache"):
+        PrimeTable.load(path)
 
 
 def test_cache_absence_is_fine(tmp_path):

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from matula import (
     PairingReport,
     PrimeTable,
+    cuts,
     factor_count,
     is_squarefree,
     liouville,
@@ -167,6 +169,51 @@ def test_self_fusion_needs_square(table):
     for l, mv in partner_moves(9, "liouville", table):
         moves[l] = mv
     assert moves[7] == {"kind": "fusion", "left": 3, "right": 3}
+
+
+def test_sieve_filter_matches_factorization_filter(table):
+    # pair_range keeps a candidate by its sieve sign, partner_moves by
+    # factorizing it: both must give the same moves in the same order
+    for mode in ("mobius", "liouville"):
+        free = bytearray((pairing._signs(3_000, mode, table) != 0).tobytes())
+        for k in range(2, 3_001):
+            if not free[k]:
+                continue
+            sieved = [
+                (l, pairing._move_dict(mv))
+                for l, mv in pairing._free_moves(k, free, table)
+            ]
+            assert sieved == partner_moves(k, mode, table), (mode, k)
+        for policy in ("largest", "smallest", "first"):
+            report = pair_range(2_000, mode, policy, table)
+            alone = set(report.singletons)
+            for k in alone - {1}:
+                partners = {l for l, _ in partner_moves(k, mode, table)}
+                assert not partners & alone, (mode, policy, k)
+
+
+def test_pair_range_factorizes_each_k_once_without_squarefree_tests(monkeypatch):
+    t = PrimeTable()
+    for q in t.primes_up_to(3_000).tolist():
+        cuts(q, t)  # cuts factorize prime ranks; fill their cache first
+    calls = Counter()
+    plain = t.factorize
+
+    def counting_factorize(k):
+        calls[k] += 1
+        return plain(k)
+
+    def no_squarefree(*args):
+        raise AssertionError(f"is_squarefree{args} called")
+
+    monkeypatch.setattr(t, "factorize", counting_factorize)
+    monkeypatch.setattr(pairing, "is_squarefree", no_squarefree)
+    for mode in ("mobius", "liouville"):
+        calls.clear()
+        report = pair_range(3_000, mode, "largest", t)
+        assert report.pairs
+        assert set(calls) <= set(range(2, 3_001)), mode
+        assert max(calls.values()) == 1, mode
 
 
 def test_pair_range_trivial(table):
