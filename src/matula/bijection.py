@@ -123,7 +123,6 @@ def _integers_with_vertex_count(c: int, table: PrimeTable) -> list[int]:
             for j in range(1, c + 1):  # primes whose tree has j vertices
                 for k in _integers_with_vertex_count(j - 1, table):
                     pool.append((table.nth_prime(k), j))
-            pool.sort()
             got = sorted(_multiset_products(pool, c))
         _vertex_level_cache[c] = got
     return got
@@ -134,6 +133,7 @@ def _multiset_products(pool: list[tuple[int, int]], total: int) -> list[int]:
     to total.  Distinct multisets give distinct products (unique factorization),
     so no de-duplication is needed."""
     out: list[int] = []
+    pool = sorted(pool, key=lambda entry: entry[1])  # lightest first
 
     def rec(i: int, remaining: int, acc: int) -> None:
         if remaining == 0:
@@ -141,8 +141,9 @@ def _multiset_products(pool: list[tuple[int, int]], total: int) -> list[int]:
             return
         for j in range(i, len(pool)):
             val, w = pool[j]
-            if w <= remaining:
-                rec(j, remaining - w, acc * val)
+            if w > remaining:
+                break
+            rec(j, remaining - w, acc * val)
 
     rec(0, total, 1)
     return out
@@ -160,7 +161,6 @@ def integers_of_degree(m: int, table: PrimeTable | None = None) -> list[int]:
     for d in range(1, m + 1, 2):  # a prime of degree d has (d+1)//2 vertices
         for k in _integers_with_vertex_count((d + 1) // 2 - 1, table):
             pool.append((table.nth_prime(k), d))
-    pool.sort()
     return sorted(_multiset_products(pool, m))
 
 

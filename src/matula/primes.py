@@ -19,7 +19,7 @@ from .errors import CapExceeded, NotPrime
 
 DEFAULT_CAP = 2**32
 
-_SEGMENT = 1 << 24          # sieve chunk size, keeps peak memory bounded
+_SEGMENT = 1 << 21          # integers per sieve chunk: an odd-only mask of 1 MB
 _AUTO_FACTOR_SIEVE = 1 << 22  # factorize() builds a smallest-factor sieve up to here
 
 
@@ -31,6 +31,19 @@ def _nth_prime_bound(n: int) -> int:
         return n * ceil(log(n) + log(log(n)))
     x = float(n)
     return int(x * (log(x) + log(log(x)))) + 8
+
+
+def _pi_bound(x: int) -> int:
+    """Upper bound for pi(x), the number of primes <= x.
+
+    Dusart (1999): pi(x) <= x/ln x (1 + 1/ln x + 2.51/ln^2 x) for x >= 355991;
+    Rosser & Schoenfeld (1962): pi(x) < 1.25506 x/ln x for x > 1.
+    """
+    if x < 2:
+        return 0
+    ln = log(x)
+    factor = 1 + 1 / ln + 2.51 / ln**2 if x >= 355_991 else 1.25506
+    return int(factor * x / ln) + 2
 
 
 class PrimeTable:
@@ -73,13 +86,19 @@ class PrimeTable:
             if new_limit <= self._limit:
                 return
             target = min(max(new_limit, 2 * self._limit, 1 << 10), self.cap)
-            primes = self._primes
+            # one buffer per extension, written in place; the part the bound
+            # over-reserves is never touched, so it never becomes resident
+            count = len(self._primes)
+            buf = np.empty(_pi_bound(target), dtype=np.int64)
+            buf[:count] = self._primes
             lo = self._limit + 1
             while lo <= target:
                 hi = min(lo + _SEGMENT - 1, target)
-                primes = np.concatenate([primes, self._sieve_segment(lo, hi, primes)])
+                found = self._sieve_segment(lo, hi, buf[:count])
+                buf[count : count + len(found)] = found
+                count += len(found)
                 lo = hi + 1
-            self._primes = primes
+            self._primes = buf[:count]
             self._limit = target
 
     @staticmethod
@@ -88,16 +107,25 @@ class PrimeTable:
         if hi < 2:
             return np.empty(0, dtype=np.int64)
         lo = max(lo, 2)
-        mask = np.ones(hi - lo + 1, dtype=bool)
+        # mask[i] stands for the odd number start + 2i; from lo == 2 the slot
+        # of 1, never struck out, is where 2 goes
+        start = 1 if lo == 2 else lo | 1
+        mask = np.ones((hi - start) // 2 + 1, dtype=bool)
         root = isqrt(hi)
         if len(base) == 0 or base[-1] < root:
             base = PrimeTable._sieve_segment(2, root, np.empty(0, dtype=np.int64))
-        for p in base[: np.searchsorted(base, root, side="right")]:
-            p = int(p)
-            first = max(p * p, ((lo + p - 1) // p) * p)
-            if first <= hi:
-                mask[first - lo :: p] = False
-        return (lo + np.nonzero(mask)[0]).astype(np.int64)
+        odd = base[1 : np.searchsorted(base, root, side="right")]
+        # each odd prime's first odd multiple >= max(p^2, lo), as a mask index
+        first = np.maximum(odd * odd, -(-lo // odd) * odd)
+        first += odd * (first % 2 == 0)
+        for p, i in zip(odd.tolist(), ((first - start) // 2).tolist()):
+            mask[i::p] = False
+        found = np.flatnonzero(mask)
+        found *= 2
+        found += start
+        if lo == 2:
+            found[0] = 2
+        return found
 
     # -- queries -----------------------------------------------------------
 
@@ -105,11 +133,11 @@ class PrimeTable:
         """The n-th prime, 1-based (nth_prime(1) == 2)."""
         if n < 1:
             raise ValueError(f"prime index must be >= 1, got {n}")
-        # p_n > n*ln(n) for every n >= 1 (Rosser 1939): fail before sieving.
-        # Compared in logs, which take ints of any size; the margin keeps
-        # float rounding from rejecting a reachable n.
-        if n > max(len(self._primes), 1) and (
-            log(n) + log(log(n)) > log(self.cap) + 1e-9
+        # p_n >= n(ln n + ln ln n - 1) for n >= 2 (Dusart 1999): fail before
+        # sieving.  Compared in logs, which take ints of any size; the margin
+        # keeps float rounding from rejecting a reachable n.
+        if n > max(len(self._primes), 2) and (
+            log(n) + log(log(n) + log(log(n)) - 1) > log(self.cap) + 1e-9
         ):
             raise CapExceeded(_nth_prime_bound(n), self.cap)
         while n > len(self._primes):

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matula import (
+    PrimeTable,
     arborify,
     attach_root,
     integers_of_degree,
@@ -13,6 +14,7 @@ from matula import (
     stats,
     stats_of,
 )
+from matula.bijection import _integers_with_vertex_count
 
 # the first twenty integers and their forests, worked out by hand
 FIRST_TWENTY = {
@@ -169,6 +171,35 @@ def test_degree_levels_complete_against_sweep(table):
         level = integers_of_degree(m, table)
         assert [n for n in level if n <= 5000] == by_degree.get(m, [])
         assert all(stats_of(n, table).degree == m for n in level)
+
+
+def _rooted_tree_counts(n_max: int) -> list[int]:
+    """Rooted trees on n vertices (OEIS A000081) for n <= n_max, by Otter's
+    Euler transform a(n+1) = (1/n) sum_k (sum_{d | k} d a(d)) a(n-k+1)."""
+    a = [0, 1]
+    for n in range(1, n_max):
+        total = sum(
+            sum(d * a[d] for d in range(1, k + 1) if k % d == 0) * a[n - k + 1]
+            for k in range(1, n + 1)
+        )
+        a.append(total // n)
+    return a
+
+
+def test_vertex_levels_count_rooted_trees():
+    table = PrimeTable()  # c = 12 reaches p_9737333 = 174440041; freed afterwards
+    counts = _rooted_tree_counts(13)
+    assert counts[13] == 12486
+    for c in range(13):
+        # a forest on c vertices is a rooted tree on c + 1 once given a root
+        assert len(_integers_with_vertex_count(c, table)) == counts[c + 1], c
+
+
+def test_degree_levels_ascend_and_have_their_degree(table):
+    for m in range(14):
+        level = integers_of_degree(m, table)
+        assert all(a < b for a, b in zip(level, level[1:])), m
+        assert all(stats_of(n, table).degree == m for n in level), m
 
 
 def test_leaf_classes(table):

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matula import CapExceeded, NotPrime, PrimeTable
+from matula.primes import _SEGMENT, _pi_bound
 from oracles import primes_below, trial_factor_count
 
 
@@ -103,6 +106,8 @@ def test_nth_prime_past_the_cap_fails_before_sieving():
     t = PrimeTable(cap=10**6)
     with pytest.raises(CapExceeded):
         t.nth_prime(10**6)  # p_n > n ln n, about 1.4e7
+    with pytest.raises(CapExceeded):
+        t.nth_prime(79_000)  # p_n >= n(ln n + ln ln n - 1), about 1.003e6
     assert t.limit < 10**5
     assert t.nth_prime(78_498) == 999_983  # the last prime below the cap
     with pytest.raises(CapExceeded, match=r"~2\*\*\d+, beyond"):
@@ -153,3 +158,62 @@ def test_factor_sieve_grows_geometrically_above_2_20():
     for k in range(2**20 + 2, 2**20 + 202):
         assert t.factorize(k) == sorted(sympy.factorint(k).items()), k
     assert t._spf is spf
+
+
+def test_sieve_matches_sympy_on_small_limits():
+    sympy = pytest.importorskip("sympy")
+    empty = np.empty(0, dtype=np.int64)
+    for hi in range(0, 61):
+        for lo in range(0, hi + 1):
+            got = PrimeTable._sieve_segment(lo, hi, empty).tolist()
+            assert got == list(sympy.primerange(lo, hi + 1)), (lo, hi)
+    for x in range(2, 61):
+        t = PrimeTable(cap=x)  # the cap keeps extend_to from rounding x up
+        t.extend_to(x)
+        assert t.limit == x
+        assert t.primes_up_to(x).tolist() == list(sympy.primerange(x + 1))
+        assert t.count == sympy.primepi(x)
+
+
+def test_sieve_at_segment_edges_and_along_growth():
+    sympy = pytest.importorskip("sympy")
+    reference = np.array(primes_below(3 * _SEGMENT + 2), dtype=np.int64)
+    for k in (1, 2, 3):
+        for x in (k * _SEGMENT - 1, k * _SEGMENT, k * _SEGMENT + 1, k * _SEGMENT + 2):
+            t = PrimeTable()
+            t.extend_to(x)
+            assert t.limit == x
+            assert t.count == sympy.primepi(x), x
+            assert np.array_equal(t._primes, reference[: t.count]), x
+    t = PrimeTable()
+    before = t._primes
+    for x in (10**3, 10**6, 3 * 10**6):
+        t.extend_to(x)
+        assert t._primes is not before  # readers of the old array keep it
+        assert np.array_equal(t._primes[: len(before)], before)
+        assert t.count == sympy.primepi(t.limit)
+        assert np.array_equal(t._primes, reference[: t.count])
+        before = t._primes
+
+
+def test_pi_bound_covers_pi():
+    sympy = pytest.importorskip("sympy")
+    grid = {
+        *range(2, 3000),
+        *range(355_900, 356_100),  # where the bound switches formula
+        *np.geomspace(3000, 10**7, 300).astype(int).tolist(),
+        10**7,
+    }
+    for x in sorted(grid):
+        assert _pi_bound(x) >= sympy.primepi(x), x
+
+
+def test_extension_allocates_about_one_table():
+    t = PrimeTable()
+    tracemalloc.start()
+    try:
+        t.extend_to(3 * 10**7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * t._primes.nbytes
