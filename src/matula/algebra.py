@@ -45,7 +45,7 @@ def fuse(q: int, r: int, table: PrimeTable | None = None) -> int:
     return table.nth_prime(table.prime_rank(q) * table.prime_rank(r))
 
 
-_cuts_cache: dict[int, frozenset[CutPair]] = {}
+_cuts_cache: dict[int, tuple[CutPair, ...]] = {}
 
 
 def cuts(q: int, table: PrimeTable | None = None) -> frozenset[CutPair]:
@@ -56,18 +56,22 @@ def cuts(q: int, table: PrimeTable | None = None) -> frozenset[CutPair]:
     relays a cut of d.  The single-vertex tree (q == 2) has no edges and
     yields the empty set.
     """
+    return frozenset(_ordered_cuts(q, table or default_table()))
+
+
+def _ordered_cuts(q: int, table: PrimeTable) -> tuple[CutPair, ...]:
+    """``cuts(q)`` in ascending order, memoised in ``_cuts_cache``."""
     got = _cuts_cache.get(q)
     if got is None:
-        table = table or default_table()
         n = table.prime_rank(q)
         acc: set[CutPair] = set()
         if n > 1:
             for d in table.prime_factors(n):
                 rest = n // d
                 acc.add(CutPair(d, table.nth_prime(rest)))
-                for s, r in cuts(d, table):
+                for s, r in _ordered_cuts(d, table):
                     acc.add(CutPair(s, table.nth_prime(rest * r)))
-        got = frozenset(acc)
+        got = tuple(sorted(acc))
         _cuts_cache[q] = got
     return got
 
@@ -117,7 +121,7 @@ def value_increasing_cuts(
     table = table or default_table()
     out: set[tuple[int, int]] = set()
     for q in map(int, table.primes_up_to(limit)):
-        for pair in cuts(q, table):
+        for pair in _ordered_cuts(q, table):
             if pair.product > q:
                 out.add((q, pair.product))
     return sorted(out)

@@ -10,7 +10,9 @@ forest path kept as an independent cross-check in the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import log
 
+from .errors import CapExceeded
 from .forests import Forest, Tree, attach_root, detach_root
 from .primes import PrimeTable, default_table
 
@@ -53,9 +55,33 @@ def number_of(obj: Forest | Tree, table: PrimeTable | None = None) -> int:
     return n
 
 
+# The number of the path on h vertices for h = 1..13 (OEIS A007097): p
+# applied h times to 1.  A tree of height h is p_n where n's forest holds a
+# tree of height h - 1, whose number divides n; so by induction the number
+# of any tree of height h is at least the h-th term.
+_PATH_TOWER = (
+    2, 3, 5, 11, 31, 127, 709, 5381, 52711, 648391, 9737333, 174440041, 3657500101,
+)
+
+
+def _least_number(height: int, cap: int) -> int:
+    """A lower bound on the number of any tree of this height, exact up to
+    height 13; past that, p_n >= n(ln n + ln ln n - 1) (Dusart 1999) grows it
+    one level at a time until it passes cap."""
+    least = _PATH_TOWER[min(height, len(_PATH_TOWER)) - 1]
+    for _ in range(height - len(_PATH_TOWER)):
+        if least > cap:
+            break
+        least *= int(log(least) + log(log(least))) - 2  # floored, float-safe
+    return least
+
+
 def _tree_number(t: Tree, table: PrimeTable) -> int:
     p = _number_of_tree.get(t)
     if p is None:
+        least = _least_number(t.height, table.cap)
+        if least > table.cap:  # fail before sieving or recursing
+            raise CapExceeded(least, table.cap)
         p = table.nth_prime(number_of(detach_root(t), table))
         _number_of_tree[t] = p
         _tree_of_prime[p] = t

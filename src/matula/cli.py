@@ -14,16 +14,19 @@ from . import algebra, bijection, forests, pairing, scans
 from .errors import CapExceeded, MatulaError, NotPrime, ParseError
 from .primes import DEFAULT_CAP, PrimeTable
 
-_SCAN_NAMES = (
-    "pan-apn",
-    "fusion",
-    "mrd",
-    "sousselier",
-    "three-n",
-    "cut-decrease",
-    "tuple-width",
-    "nap",
-)
+# scan kind -> (function in ``scans``, its bound options in argument order).
+# Each option falls back to --max.  The function is looked up on the module
+# when the scan runs, so a wrapper rebound on ``scans`` sees the call.
+_SCANS = {
+    "pan-apn": ("scan_prime_rank_growth", ("max_a", "max_n")),
+    "fusion": ("scan_fusion", ("max_m", "max_n")),
+    "mrd": ("scan_prime_size_bounds", ("max",)),
+    "sousselier": ("scan_rank_ratio_monotone", ("max",)),
+    "three-n": ("scan_three_n", ("max",)),
+    "cut-decrease": ("scan_cut_decrease", ("max",)),
+    "tuple-width": ("check_tuple_width_bound", ("max",)),
+    "nap": ("scan_nap_law", ("max",)),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -86,7 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fmt_arg(p)
 
     p = sub.add_parser("scan", help="exhaustive inequality scans (JSON output)")
-    p.add_argument("which", choices=_SCAN_NAMES)
+    p.add_argument("which", choices=_SCANS)
     p.add_argument("--max", type=int, metavar="N", help="main range bound")
     p.add_argument("--max-a", type=int, metavar="A", help="pan-apn: bound for a")
     p.add_argument("--max-n", type=int, metavar="N", help="pan-apn/fusion: bound for n")
@@ -189,7 +192,7 @@ def _run(args: argparse.Namespace) -> int:
         print(algebra.fuse(args.p, args.q, table))
 
     elif cmd == "cuts":
-        pairs = sorted(algebra.cuts(args.p, table))
+        pairs = algebra._ordered_cuts(args.p, table)
         chains = algebra.cut_chains(args.p, table) if args.trace else None
         if args.format == "json":
             doc: dict = {
@@ -288,32 +291,12 @@ def _run(args: argparse.Namespace) -> int:
 
 
 def _run_scan(args: argparse.Namespace, table: PrimeTable) -> scans.ScanReport:
-    which = args.which
-    if which == "pan-apn":
-        a_max = args.max_a or args.max
-        n_max = args.max_n or args.max
-        if a_max is None or n_max is None:
-            raise ValueError("pan-apn needs --max or --max-a/--max-n")
-        return scans.scan_prime_rank_growth(a_max, n_max, table)
-    if which == "fusion":
-        m_max = args.max_m or args.max
-        n_max = args.max_n or args.max
-        if m_max is None or n_max is None:
-            raise ValueError("fusion needs --max or --max-m/--max-n")
-        return scans.scan_fusion(m_max, n_max, table)
-    if args.max is None:
-        raise ValueError(f"{which} needs --max")
-    if which == "mrd":
-        return scans.scan_prime_size_bounds(args.max, table)
-    if which == "sousselier":
-        return scans.scan_rank_ratio_monotone(args.max, table)
-    if which == "cut-decrease":
-        return scans.scan_cut_decrease(args.max, table)
-    if which == "tuple-width":
-        return scans.check_tuple_width_bound(args.max, table)
-    if which == "nap":
-        return scans.scan_nap_law(args.max, table)
-    return scans.scan_three_n(args.max, table)
+    name, options = _SCANS[args.which]
+    bounds = [getattr(args, o) or args.max for o in options]
+    if None in bounds:
+        others = "/".join("--" + o.replace("_", "-") for o in options if o != "max")
+        raise ValueError(f"{args.which} needs --max" + (f" or {others}" if others else ""))
+    return getattr(scans, name)(*bounds, table)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -20,7 +20,7 @@ _BY_KEY = attrgetter("key")
 class Tree:
     """A rooted tree; ``Tree(children)`` canonicalises and interns."""
 
-    __slots__ = ("children", "key", "vertices", "leaves")
+    __slots__ = ("children", "key", "vertices", "leaves", "height")
 
     _intern: dict[str, "Tree"] = {}
 
@@ -28,6 +28,7 @@ class Tree:
     key: str
     vertices: int
     leaves: int
+    height: int  # vertices on the longest path from the root
 
     def __new__(cls, children: Iterable["Tree"] = ()):
         kids = tuple(sorted(children, key=_BY_KEY))
@@ -40,6 +41,7 @@ class Tree:
         self.key = key
         self.vertices = 1 + sum(t.vertices for t in kids)
         self.leaves = sum(t.leaves for t in kids) if kids else 1
+        self.height = 1 + max((t.height for t in kids), default=0)
         cls._intern[key] = self
         return self
 

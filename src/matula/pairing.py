@@ -16,7 +16,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .algebra import CutPair, cuts, fuse
+from .algebra import CutPair, _ordered_cuts, cuts, fuse
 from .primes import PrimeTable, default_table
 
 MOBIUS = "mobius"
@@ -120,7 +120,7 @@ def _moves(
     for q, _e in factors:
         if q < 3:
             continue
-        for s, r in sorted(cuts(q, table)):
+        for s, r in _ordered_cuts(q, table):
             l = (k // q) * s * r
             if l < k:
                 yield l, ("cut", q, s, r)

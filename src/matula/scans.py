@@ -8,15 +8,16 @@ guard band and a high-precision recheck near the boundary.
 
 from __future__ import annotations
 
+import functools
 import json
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import log
 
 import mpmath
 import numpy as np
 
+from .algebra import nap_law_holds, value_increasing_cuts
 from .primes import PrimeTable, default_table
 
 GUARD_BAND = 1e-9  # relative width of the float comparison no-man's-land
@@ -43,6 +44,20 @@ class ScanReport:
         return json.dumps(doc, sort_keys=True, separators=(", ", ": "))
 
 
+def _timed(scan):
+    """Set the report's ``elapsed`` to the wall time the scan took."""
+
+    @functools.wraps(scan)
+    def timed(*args, **kwargs) -> ScanReport:
+        started = time.perf_counter()
+        report = scan(*args, **kwargs)
+        report.elapsed = time.perf_counter() - started
+        return report
+
+    return timed
+
+
+@_timed
 def scan_prime_rank_growth(
     a_max: int, n_max: int, table: PrimeTable | None = None
 ) -> ScanReport:
@@ -53,7 +68,6 @@ def scan_prime_rank_growth(
     if a_max < 2 or n_max < 1:
         raise ValueError(f"empty scan range: a_max={a_max}, n_max={n_max}")
     table = table or default_table()
-    started = time.perf_counter()
     primes = table.first_n(a_max * n_max)
     base = primes[:n_max]
     ns = np.arange(1, n_max + 1, dtype=np.int64)
@@ -66,10 +80,10 @@ def scan_prime_rank_growth(
         name="prime-rank-growth",
         range={"a_min": 2, "a_max": a_max, "n_min": 1, "n_max": n_max},
         exceptions=exceptions,
-        elapsed=time.perf_counter() - started,
     )
 
 
+@_timed
 def scan_fusion(m_max: int, n_max: int, table: PrimeTable | None = None) -> ScanReport:
     """Check p_(m*n) < p_m * p_n over unordered {m, n} in the rectangle.
 
@@ -78,7 +92,6 @@ def scan_fusion(m_max: int, n_max: int, table: PrimeTable | None = None) -> Scan
     if m_max < 1 or n_max < 1:
         raise ValueError(f"empty scan range: m_max={m_max}, n_max={n_max}")
     table = table or default_table()
-    started = time.perf_counter()
     lo, hi = min(m_max, n_max), max(m_max, n_max)
     primes = table.first_n(lo * hi)
     exceptions: list[tuple] = []
@@ -92,7 +105,6 @@ def scan_fusion(m_max: int, n_max: int, table: PrimeTable | None = None) -> Scan
         name="fusion",
         range={"m_max": m_max, "n_max": n_max},
         exceptions=exceptions,
-        elapsed=time.perf_counter() - started,
     )
 
 
@@ -112,38 +124,58 @@ def ratio_table(
     return out
 
 
+# Sharp bounds on the n-th prime as (name, first n, kind, bound(x, log, num)).
+# Each bound is written once: the float pass evaluates it with (np.log, float)
+# on an array of n, the recheck with (mpmath.log, mpmath.mpf) on one int n.
+_SIZE_BOUNDS = (
+    ("lower", 2, "lower", lambda x, log, num: x * ((lg := log(x)) + log(lg) - 1)),
+    (
+        "upper-refined",
+        13,
+        "upper",
+        lambda x, log, num: x
+        * ((lg := log(x)) + (lglg := log(lg)) - 1 + num("1.8") * lglg / lg),
+    ),
+    (
+        "upper-const",
+        13,
+        "upper",
+        lambda x, log, num: x * ((lg := log(x)) + log(lg) - num("0.337")),
+    ),
+)
+
+
 def _float_bound_scan(
-    name: str,
-    ns: np.ndarray,
-    primes: np.ndarray,
-    bound: np.ndarray,
-    kind: str,
-    exact_bound,
+    name: str, first: int, kind: str, bound, primes: np.ndarray
 ) -> list[tuple]:
-    """Compare primes against a float bound with a guard band.
+    """Compare p_n for first <= n <= len(primes) against a bound with a guard band.
 
     kind "lower": pass means p_n >= bound; kind "upper": p_n <= bound.
     Cases within GUARD_BAND relative distance of the boundary are re-decided
-    with 60-digit arithmetic via exact_bound(n).
+    with 60-digit arithmetic.
     """
-    band = GUARD_BAND * np.abs(bound)
+    ns = np.arange(first, len(primes) + 1, dtype=np.int64)
+    primes = primes[first - 1 :]
+    b = bound(ns.astype(np.float64), np.log, float)
+    band = GUARD_BAND * np.abs(b)
     p = primes.astype(np.float64)
     if kind == "lower":
-        clear_fail = p < bound - band
+        clear_fail = p < b - band
     else:
-        clear_fail = p > bound + band
-    near = np.abs(p - bound) <= band
+        clear_fail = p > b + band
+    near = np.abs(p - b) <= band
     failures = [int(n) for n in ns[clear_fail]]
     with mpmath.workdps(60):
         for i in np.nonzero(near)[0]:
             n = int(ns[i])
-            b = exact_bound(n)
+            exact = bound(n, mpmath.log, mpmath.mpf)
             pn = mpmath.mpf(int(primes[i]))
-            if (kind == "lower" and pn < b) or (kind == "upper" and pn > b):
+            if (kind == "lower" and pn < exact) or (kind == "upper" and pn > exact):
                 failures.append(n)
     return [(name, n) for n in sorted(failures)]
 
 
+@_timed
 def scan_prime_size_bounds(n_max: int, table: PrimeTable | None = None) -> ScanReport:
     """Check the sharp bounds on the n-th prime.
 
@@ -154,57 +186,18 @@ def scan_prime_size_bounds(n_max: int, table: PrimeTable | None = None) -> ScanR
     if n_max < 2:
         raise ValueError(f"need n_max >= 2, got {n_max}")
     table = table or default_table()
-    started = time.perf_counter()
     primes = table.first_n(n_max)
-
-    ns = np.arange(2, n_max + 1, dtype=np.int64)
-    x = ns.astype(np.float64)
-    lg, lglg = np.log(x), np.log(np.log(x))
-    exceptions = _float_bound_scan(
-        "lower",
-        ns,
-        primes[1:n_max],
-        x * (lg + lglg - 1.0),
-        "lower",
-        lambda n: n * (mpmath.log(n) + mpmath.log(mpmath.log(n)) - 1),
-    )
-
-    if n_max >= 13:
-        ns = np.arange(13, n_max + 1, dtype=np.int64)
-        x = ns.astype(np.float64)
-        lg, lglg = np.log(x), np.log(np.log(x))
-        exceptions += _float_bound_scan(
-            "upper-refined",
-            ns,
-            primes[12:n_max],
-            x * (lg + lglg - 1.0 + 1.8 * lglg / lg),
-            "upper",
-            lambda n: n
-            * (
-                mpmath.log(n)
-                + mpmath.log(mpmath.log(n))
-                - 1
-                + mpmath.mpf("1.8") * mpmath.log(mpmath.log(n)) / mpmath.log(n)
-            ),
-        )
-        exceptions += _float_bound_scan(
-            "upper-const",
-            ns,
-            primes[12:n_max],
-            x * (lg + lglg - 0.337),
-            "upper",
-            lambda n: n
-            * (mpmath.log(n) + mpmath.log(mpmath.log(n)) - mpmath.mpf("0.337")),
-        )
-
+    exceptions: list[tuple] = []
+    for name, first, kind, bound in _SIZE_BOUNDS:
+        exceptions += _float_bound_scan(name, first, kind, bound, primes)
     return ScanReport(
         name="prime-size-bounds",
         range={"n_min": 2, "n_max": n_max},
         exceptions=sorted(exceptions),
-        elapsed=time.perf_counter() - started,
     )
 
 
+@_timed
 def scan_rank_ratio_monotone(n_max: int, table: PrimeTable | None = None) -> ScanReport:
     """Check p_n / n <= p_(p_n) / p_n for 2 <= n <= n_max.
 
@@ -213,7 +206,6 @@ def scan_rank_ratio_monotone(n_max: int, table: PrimeTable | None = None) -> Sca
     if n_max < 2:
         raise ValueError(f"need n_max >= 2, got {n_max}")
     table = table or default_table()
-    started = time.perf_counter()
     primes = table.first_n(n_max)
     deep = table.first_n(int(primes[-1]))
     ns = np.arange(2, n_max + 1, dtype=np.int64)
@@ -223,10 +215,10 @@ def scan_rank_ratio_monotone(n_max: int, table: PrimeTable | None = None) -> Sca
         name="rank-ratio-monotone",
         range={"n_min": 2, "n_max": n_max},
         exceptions=[(int(n),) for n in ns[bad]],
-        elapsed=time.perf_counter() - started,
     )
 
 
+@_timed
 def scan_cut_decrease(q_max: int, table: PrimeTable | None = None) -> ScanReport:
     """Certify which cuts of primes <= q_max increase the value.
 
@@ -235,28 +227,22 @@ def scan_cut_decrease(q_max: int, table: PrimeTable | None = None) -> ScanReport
     """
     if q_max < 3:
         raise ValueError(f"need q_max >= 3, got {q_max}")
-    from .algebra import value_increasing_cuts
-
     table = table or default_table()
-    started = time.perf_counter()
     exceptions = value_increasing_cuts(q_max, table)
     return ScanReport(
         name="cut-decrease",
         range={"q_max": q_max},
         exceptions=exceptions,
-        elapsed=time.perf_counter() - started,
     )
 
 
+@_timed
 def scan_nap_law(p_max: int, table: PrimeTable | None = None) -> ScanReport:
     """Check the graft-exchange law x>(y>z) = y>(x>z) for all prime triples
     with values <= p_max (expected to hold identically)."""
     if p_max < 2:
         raise ValueError(f"need p_max >= 2, got {p_max}")
-    from .algebra import nap_law_holds
-
     table = table or default_table()
-    started = time.perf_counter()
     ps = [int(p) for p in table.primes_up_to(p_max)]
     exceptions = [
         (a, b, c)
@@ -269,17 +255,16 @@ def scan_nap_law(p_max: int, table: PrimeTable | None = None) -> ScanReport:
         name="nap-law",
         range={"p_max": p_max},
         exceptions=exceptions,
-        elapsed=time.perf_counter() - started,
     )
 
 
+@_timed
 def scan_three_n(n_max: int, table: PrimeTable | None = None) -> ScanReport:
     """Check p_n > 3n for n >= 12; n = 11 fails (31 < 33) and is reported
     as the boundary witness."""
     if n_max < 12:
         raise ValueError(f"need n_max >= 12, got {n_max}")
     table = table or default_table()
-    started = time.perf_counter()
     primes = table.first_n(n_max)
     ns = np.arange(12, n_max + 1, dtype=np.int64)
     bad = np.nonzero(primes[11:n_max] <= 3 * ns)[0]
@@ -288,7 +273,6 @@ def scan_three_n(n_max: int, table: PrimeTable | None = None) -> ScanReport:
         name="three-n",
         range={"n_min": 12, "n_max": n_max},
         exceptions=[(int(n),) for n in ns[bad]],
-        elapsed=time.perf_counter() - started,
         extra={"boundary_witness": {"n": 11, "prime": p11, "three_n": 33}},
     )
 
@@ -331,40 +315,32 @@ def min_constellation_width(k: int, table: PrimeTable | None = None) -> Constell
     table = table or default_table()
     small = [int(p) for p in table.primes_up_to(k)]
     odd = [p for p in small if p > 2]  # even offsets handle p = 2 already
+    full = [(1 << p) - 1 for p in odd]  # the mask of all p residues mod p
 
-    def fills(counts: list[int], o: int, masks: list[int]) -> bool:
+    def fills(o: int, masks: list[int]) -> bool:
         # would adding offset o cover all residues of some tracked prime?
-        for i, p in enumerate(odd):
-            bit = 1 << (o % p)
-            if not masks[i] & bit and counts[i] + 1 == p:
+        for p, m, f in zip(odd, masks, full):
+            if m | 1 << o % p == f:
                 return True
         return False
 
-    def add(o: int, masks: list[int], counts: list[int]) -> tuple[list[int], list[int]]:
-        m2, c2 = masks[:], counts[:]
-        for i, p in enumerate(odd):
-            bit = 1 << (o % p)
-            if not m2[i] & bit:
-                m2[i] |= bit
-                c2[i] += 1
-        return m2, c2
+    def add(o: int, masks: list[int]) -> list[int]:
+        return [m | 1 << o % p for p, m in zip(odd, masks)]
 
     # greedy incumbent: always take the next admissible even offset
-    masks = [0] * len(odd)
-    counts = [0] * len(odd)
-    masks, counts = add(0, masks, counts)
+    masks = start = add(0, [0] * len(odd))
     greedy = [0]
     while len(greedy) < k:
         o = greedy[-1] + 2
-        while fills(counts, o, masks):
+        while fills(o, masks):
             o += 2
-        masks, counts = add(o, masks, counts)
+        masks = add(o, masks)
         greedy.append(o)
 
     best_width = greedy[-1]
     best_pattern = tuple(greedy)
 
-    def dfs(chosen: list[int], masks: list[int], counts: list[int]) -> None:
+    def dfs(chosen: list[int], masks: list[int]) -> None:
         nonlocal best_width, best_pattern
         if len(chosen) == k:
             if chosen[-1] < best_width:
@@ -374,30 +350,26 @@ def min_constellation_width(k: int, table: PrimeTable | None = None) -> Constell
         slots_left = k - len(chosen) - 1
         o = chosen[-1] + 2
         while o + 2 * slots_left < best_width:
-            if not fills(counts, o, masks):
-                m2, c2 = add(o, masks, counts)
+            if not fills(o, masks):
                 chosen.append(o)
-                dfs(chosen, m2, c2)
+                dfs(chosen, add(o, masks))
                 chosen.pop()
             o += 2
 
-    start_masks = [0] * len(odd)
-    start_counts = [0] * len(odd)
-    start_masks, start_counts = add(0, start_masks, start_counts)
-    dfs([0], start_masks, start_counts)
+    dfs([0], start)
 
     assert is_admissible(best_pattern, small), "search produced an inadmissible tuple"
     assert best_pattern[0] == 0 and best_pattern[-1] == best_width
     return ConstellationWidth(k=k, width=best_width, pattern=best_pattern)
 
 
+@_timed
 def check_tuple_width_bound(n_max: int, table: PrimeTable | None = None) -> ScanReport:
     """Verify that the minimal admissible (n+1)-tuple diameter is >= p_n
     for 1 <= n <= n_max (n_max at most 12)."""
     if not (1 <= n_max <= MAX_CONSTELLATION_K - 1):
         raise ValueError(f"need 1 <= n_max <= {MAX_CONSTELLATION_K - 1}, got {n_max}")
     table = table or default_table()
-    started = time.perf_counter()
     exceptions: list[tuple] = []
     widths: dict[str, int] = {}
     for n in range(1, n_max + 1):
@@ -409,6 +381,5 @@ def check_tuple_width_bound(n_max: int, table: PrimeTable | None = None) -> Scan
         name="tuple-width-vs-prime",
         range={"n_min": 1, "n_max": n_max},
         exceptions=exceptions,
-        elapsed=time.perf_counter() - started,
         extra={"widths": widths},
     )

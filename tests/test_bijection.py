@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matula import (
+    CapExceeded,
     PrimeTable,
     arborify,
     attach_root,
@@ -14,7 +15,7 @@ from matula import (
     stats,
     stats_of,
 )
-from matula.bijection import _integers_with_vertex_count
+from matula.bijection import _integers_with_vertex_count, _least_number
 
 # the first twenty integers and their forests, worked out by hand
 FIRST_TWENTY = {
@@ -208,3 +209,23 @@ def test_leaf_classes(table):
         4, 6, 7, 9, 10, 13, 15, 17, 22, 23, 25, 29, 33, 41,
     ]
     assert integers_with_leaf_count(1, 1, table) == []
+
+
+@pytest.mark.parametrize("depth", [14, 3000])
+def test_number_of_too_tall_fails_before_sieving(depth):
+    fresh = PrimeTable()
+    unsieved = fresh.limit
+    tree = parse_forest("[" * depth + "]" * depth)
+    with pytest.raises(CapExceeded):
+        number_of(tree, fresh)
+    assert fresh.limit == unsieved
+
+
+def test_path_tower_is_the_number_of_each_path(table):
+    # the h-vertex path is p applied h times to 1 (OEIS A007097)
+    n = 1
+    for h in range(1, 11):
+        n = table.nth_prime(n)
+        path = parse_forest("[" * h + "]" * h)
+        assert path.trees[0].height == h
+        assert _least_number(h, table.cap) == n == number_of(path, table)

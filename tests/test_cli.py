@@ -1,11 +1,16 @@
+import contextlib
 import hashlib
+import io
 import json
 import sys
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from matula.cli import _build_parser, main
+from matula.cli import _SCANS, _build_parser, main
 
 FIXTURE = str(Path(__file__).parent / "data" / "pairs_liouville_96.txt")
 
@@ -152,6 +157,40 @@ def test_scan_others(capsys):
 def test_scan_needs_bounds(capsys):
     code, _, err = run(capsys, "scan", "mrd")
     assert code == 3 and "--max" in err
+    code, _, err = run(capsys, "scan", "pan-apn")
+    assert code == 3 and err == "error: pan-apn needs --max or --max-a/--max-n\n"
+    code, _, err = run(capsys, "scan", "fusion", "--max-m", "3")
+    assert code == 3 and err == "error: fusion needs --max or --max-m/--max-n\n"
+
+
+def test_scan_choices_are_the_scan_table():
+    parser = _build_parser()
+    scan = parser._subparsers._group_actions[0].choices["scan"]
+    (which,) = [a for a in scan._actions if a.dest == "which"]
+    assert list(which.choices) == list(_SCANS)
+
+
+# sha256 of the stdout bytes of each scan kind and of `constellation`,
+# recorded before the scan layer was rewritten around one table per decision
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        ("scan mrd --max 1000000", "9edbc56f463ddeddaabb044d159b8ede32d8e11f5d59948563ed6604c67c4014"),
+        ("scan sousselier --max 1000000", "435cb9e0aa24f19b0623a1389b67d7b6519d9608127dd2ce0fdb8000d6d97dde"),
+        ("scan fusion --max 300", "9900e5306e9b890a50adc6f69f50db7490e4a31d54239a7b8b9926a97219598c"),
+        ("scan pan-apn --max-a 100 --max-n 1000", "14e2ce1992186218c4e7b9f628c64e2dcfac228b20d880b73d874670a80443da"),
+        ("scan three-n --max 100000", "787f06925a8349c8c6ade28273b2331c6b1c17d2e395981371bcbbffec84a486"),
+        ("scan cut-decrease --max 1100", "48f56083bbc8649c1695af8218787670f5c0dc05bdbeacc523c498442b4b7f70"),
+        ("scan tuple-width --max 12", "dff4c4d81195034ede303ad9101c3c646444cbdd724920675f546d4f713c4bce"),
+        ("scan nap --max 50", "2085e93793b9b9d413bfeaade8c5212cd4322982637d494dd251aa8e10e5a4a2"),
+        ("constellation 13", "f932d3903a2666a58de8b960dc44afaf943642e09ba99d35e90515be12b1845d"),
+        ("constellation 13 --format json", "1c087bda7545e7df64f4598688a5fd46a5f7742e940b5f6e5d9de9b125fa74c7"),
+    ],
+)
+def test_scan_bytes_are_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_constellation(capsys):
@@ -233,6 +272,33 @@ def test_number_of_past_the_cap_exits_4_before_sieving(capsys, leaves):
     code, _, err = run(capsys, "number-of", "[" + "[]" * leaves + "]")
     assert code == 4
     assert "beyond the cap" in err
+
+
+@pytest.mark.parametrize("depth", [14, 3000])
+def test_number_of_too_tall_exits_4_at_once(capsys, depth):
+    # a path of 14 vertices already needs a prime past 2**32 (OEIS A007097)
+    started = time.perf_counter()
+    code, _, err = run(capsys, "number-of", "[" * depth + "]" * depth)
+    assert code == 4 and "beyond the cap" in err
+    assert time.perf_counter() - started < 5
+
+
+def test_number_of_twelve_vertex_path(capsys):
+    code, out, _ = run(capsys, "number-of", "[" * 12 + "]" * 12)
+    assert code == 0 and out == "174440041\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        st.text(alphabet="[] x", max_size=400),
+        st.integers(1, 3000).map(lambda d: "[" * d + "]" * d),
+    )
+)
+def test_number_of_fuzz_exits_with_a_documented_code(brackets):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["--cap", "1000000", "number-of", brackets])
+    assert code in (0, 3, 4)
 
 
 def test_validate_pairs(capsys, tmp_path):

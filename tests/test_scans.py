@@ -2,8 +2,10 @@ import json
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 
+from matula import scans
 from matula import (
     check_tuple_width_bound,
     is_admissible,
@@ -103,6 +105,23 @@ def test_size_bounds_match_direct_evaluation(table):
             if n >= 13 and p > n * (lg + lglg - mpmath.mpf("0.337")):
                 brute.append(("upper-const", n))
     assert report.exceptions == sorted(brute) == []
+
+
+@pytest.mark.parametrize("failing", [False, True])
+def test_size_bound_recheck_decides_near_cases(monkeypatch, failing):
+    # a guard band as wide as the bound sends (almost) every n to the
+    # 60-digit recheck; primes one step past the bound must all fail there
+    monkeypatch.setattr(scans, "GUARD_BAND", 1.0)
+    for name, first, kind, bound in scans._SIZE_BOUNDS:
+        fake = [0] * (first - 1)
+        with mpmath.workdps(60):
+            for n in range(first, 300):
+                exact = bound(n, mpmath.log, mpmath.mpf)
+                below = int(mpmath.floor(exact)) - 1
+                above = int(mpmath.ceil(exact)) + 1
+                fake.append(below if (kind == "lower") == failing else above)
+        got = scans._float_bound_scan(name, first, kind, bound, np.array(fake))
+        assert got == ([(name, n) for n in range(first, 300)] if failing else [])
 
 
 def test_rank_ratio_monotone_small(table):
