@@ -90,7 +90,7 @@ def cut_chains(
     out: list[tuple[CutPair, tuple[int, ...]]] = []
     if n == 1:
         return out
-    for d in sorted(table.prime_factors(n)):
+    for d in table.prime_factors(n):
         rest = n // d
         root_pair = CutPair(d, table.nth_prime(rest))
         out.append((root_pair, (q, root_pair.product)))
@@ -100,7 +100,7 @@ def cut_chains(
             relayed = CutPair(pair.detached, table.nth_prime(rest * pair.remaining))
             chain.append(relayed.product)
             out.append((relayed, tuple(chain)))
-    out.sort(key=lambda item: (item[0], item[1]))
+    out.sort()
     return out
 
 

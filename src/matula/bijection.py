@@ -55,33 +55,41 @@ def number_of(obj: Forest | Tree, table: PrimeTable | None = None) -> int:
     return n
 
 
-# The number of the path on h vertices for h = 1..13 (OEIS A007097): p
+# The number of the path on h vertices for h = 0..13 (OEIS A007097): p
 # applied h times to 1.  A tree of height h is p_n where n's forest holds a
 # tree of height h - 1, whose number divides n; so by induction the number
 # of any tree of height h is at least the h-th term.
 _PATH_TOWER = (
-    2, 3, 5, 11, 31, 127, 709, 5381, 52711, 648391, 9737333, 174440041, 3657500101,
+    1, 2, 3, 5, 11, 31, 127, 709, 5381, 52711, 648391, 9737333, 174440041, 3657500101,
 )
 
 
 def _least_number(height: int, cap: int) -> int:
-    """A lower bound on the number of any tree of this height, exact up to
-    height 13; past that, p_n >= n(ln n + ln ln n - 1) (Dusart 1999) grows it
-    one level at a time until it passes cap."""
-    least = _PATH_TOWER[min(height, len(_PATH_TOWER)) - 1]
-    for _ in range(height - len(_PATH_TOWER)):
+    """A lower bound on the number of any tree of this height (1 for height
+    0, the empty forest), exact up to height 13; past that, p_n >= n(ln n +
+    ln ln n - 1) (Dusart 1999) grows it one level at a time until it passes
+    cap."""
+    top = len(_PATH_TOWER) - 1
+    least = _PATH_TOWER[min(height, top)]
+    for _ in range(height - top):
         if least > cap:
             break
         least *= int(log(least) + log(log(least))) - 2  # floored, float-safe
     return least
 
 
+def check_height(height: int, cap: int) -> None:
+    """Raise CapExceeded if a tree of this height needs a prime past cap, so
+    a caller can refuse a tall input before sieving, recursing or parsing."""
+    least = _least_number(height, cap)
+    if least > cap:
+        raise CapExceeded(least, cap)
+
+
 def _tree_number(t: Tree, table: PrimeTable) -> int:
     p = _number_of_tree.get(t)
     if p is None:
-        least = _least_number(t.height, table.cap)
-        if least > table.cap:  # fail before sieving or recursing
-            raise CapExceeded(least, table.cap)
+        check_height(t.height, table.cap)
         p = table.nth_prime(number_of(detach_root(t), table))
         _number_of_tree[t] = p
         _tree_of_prime[p] = t
@@ -142,16 +150,19 @@ def _integers_with_vertex_count(c: int, table: PrimeTable) -> list[int]:
     """All n whose forest has exactly c vertices, ascending (finite)."""
     got = _vertex_level_cache.get(c)
     if got is None:
-        if c == 0:
-            got = [1]
-        else:
-            pool: list[tuple[int, int]] = []
-            for j in range(1, c + 1):  # primes whose tree has j vertices
-                for k in _integers_with_vertex_count(j - 1, table):
-                    pool.append((table.nth_prime(k), j))
-            got = sorted(_multiset_products(pool, c))
+        got = sorted(_multiset_products(_prime_pool(c, table), c))  # [1] at c = 0
         _vertex_level_cache[c] = got
     return got
+
+
+def _prime_pool(c: int, table: PrimeTable) -> list[tuple[int, int]]:
+    """(p, j) for every prime p whose tree has j <= c vertices: p = p_k with
+    k's forest on j - 1 vertices."""
+    return [
+        (table.nth_prime(k), j)
+        for j in range(1, c + 1)
+        for k in _integers_with_vertex_count(j - 1, table)
+    ]
 
 
 def _multiset_products(pool: list[tuple[int, int]], total: int) -> list[int]:
@@ -181,12 +192,8 @@ def integers_of_degree(m: int, table: PrimeTable | None = None) -> list[int]:
     if m < 0:
         raise ValueError(f"degree must be >= 0, got {m}")
     table = table or default_table()
-    if m == 0:
-        return [1]
-    pool: list[tuple[int, int]] = []
-    for d in range(1, m + 1, 2):  # a prime of degree d has (d+1)//2 vertices
-        for k in _integers_with_vertex_count((d + 1) // 2 - 1, table):
-            pool.append((table.nth_prime(k), d))
+    # a prime whose tree has j vertices has j - 1 edges, so degree 2j - 1
+    pool = [(p, 2 * j - 1) for p, j in _prime_pool((m + 1) // 2, table)]
     return sorted(_multiset_products(pool, m))
 
 

@@ -142,6 +142,9 @@ def _run(args: argparse.Namespace) -> int:
             print(forests.print_forest(forest))
 
     elif cmd == "number-of":
+        # a parsed tree keeps a key per vertex, O(depth**2) characters on a
+        # path: refuse a well-formed input too tall for the cap before that
+        bijection.check_height(forests.bracket_depth(args.brackets), args.cap)
         n = bijection.number_of(forests.parse_forest(args.brackets), table)
         digits = sys.get_int_max_str_digits()  # lifted for this exact integer only
         sys.set_int_max_str_digits(0)
@@ -192,7 +195,7 @@ def _run(args: argparse.Namespace) -> int:
         print(algebra.fuse(args.p, args.q, table))
 
     elif cmd == "cuts":
-        pairs = algebra._ordered_cuts(args.p, table)
+        pairs = sorted(algebra.cuts(args.p, table))
         chains = algebra.cut_chains(args.p, table) if args.trace else None
         if args.format == "json":
             doc: dict = {

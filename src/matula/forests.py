@@ -2,15 +2,18 @@
 
 A tree is an unordered multiset of child trees; storage order is canonical
 (children ascending by their bracket string), so isomorphic trees compare
-equal and the printer doubles as a canonical form.  Trees are interned:
-structurally equal trees are the same object, which makes equality, hashing
-and memoisation cheap in the bulk scans.
+equal and the printer doubles as a canonical form.  Trees are interned on
+their canonical child tuple: structurally equal trees are the same object,
+so equality and hashing are by identity, and a forest compares by its trees.
 """
 
 from __future__ import annotations
 
+import re
 from operator import attrgetter
 from typing import Iterable, Iterator, NamedTuple, Union
+
+import numpy as np
 
 from .errors import ParseError
 
@@ -22,7 +25,7 @@ class Tree:
 
     __slots__ = ("children", "key", "vertices", "leaves", "height")
 
-    _intern: dict[str, "Tree"] = {}
+    _intern: dict[tuple["Tree", ...], "Tree"] = {}
 
     children: tuple["Tree", ...]
     key: str
@@ -32,17 +35,15 @@ class Tree:
 
     def __new__(cls, children: Iterable["Tree"] = ()):
         kids = tuple(sorted(children, key=_BY_KEY))
-        key = "[%s]" % "".join(t.key for t in kids)
-        cached = cls._intern.get(key)
-        if cached is not None:
-            return cached
-        self = object.__new__(cls)
-        self.children = kids
-        self.key = key
-        self.vertices = 1 + sum(t.vertices for t in kids)
-        self.leaves = sum(t.leaves for t in kids) if kids else 1
-        self.height = 1 + max((t.height for t in kids), default=0)
-        cls._intern[key] = self
+        self = cls._intern.get(kids)
+        if self is None:
+            self = object.__new__(cls)
+            self.children = kids
+            self.key = "[%s]" % "".join(t.key for t in kids)
+            self.vertices = 1 + sum(t.vertices for t in kids)
+            self.leaves = sum(t.leaves for t in kids) if kids else 1
+            self.height = 1 + max((t.height for t in kids), default=0)
+            cls._intern[kids] = self
         return self
 
     @property
@@ -75,10 +76,10 @@ class Forest:
         self.key = " ".join(t.key for t in ts)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Forest) and self.key == other.key
+        return isinstance(other, Forest) and self.trees == other.trees
 
     def __hash__(self) -> int:
-        return hash(self.key)
+        return hash(self.trees)
 
     def __repr__(self) -> str:
         return f"Forest({self.key!r})"
@@ -129,31 +130,48 @@ def stats(t: Union[Tree, Forest]) -> TreeStats:
 # -- bracket codec ----------------------------------------------------------
 
 
+_STRAY = re.compile(r"[^\[\]\s]")  # \s is str.isspace, as in the grammar
+
+
+def bracket_depth(s: str) -> int:
+    """Check the bracket grammar in one pass that builds no tree, and return
+    the deepest nesting (the tallest tree's height; 0 for no trees).
+
+    Grammar: a tree term is "[" followed by zero or more tree terms followed
+    by "]"; terms are separated by optional whitespace.  Raises ParseError
+    with the offset of the first offending character: a stray character or
+    an unmatched "]", or at the end the outermost "[" still open.
+    """
+    codes = np.frombuffer(s.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+    steps = (codes == ord("[")).astype(np.int8) - (codes == ord("]"))
+    depth = np.cumsum(steps, dtype=np.intp)
+    stray = _STRAY.search(s)
+    end = stray.start() if stray else len(s)
+    unmatched = depth[:end] < 0
+    if unmatched.any():
+        raise ParseError("unmatched ']'", int(unmatched.argmax()))
+    if stray:
+        raise ParseError(f"unexpected character {stray.group()!r}", end)
+    if depth.size and depth[-1]:
+        closed = np.flatnonzero(depth == 0)  # the outermost open "[" comes after these
+        raise ParseError("unclosed '['", s.index("[", closed[-1] + 1 if closed.size else 0))
+    return int(depth.max(initial=0))
+
+
 def parse_forest(s: str) -> Forest:
     """Parse whitespace-separated bracket terms into a canonical forest.
 
-    Grammar: a tree term is "[" followed by zero or more tree terms followed
-    by "]".  Child order in the input is irrelevant; the result is canonical.
-    Raises ParseError with the byte offset of the first offending character.
+    Child order in the input is irrelevant; the result is canonical.  The
+    grammar and its errors are ``bracket_depth``'s, which checks s first.
     """
+    bracket_depth(s)
     stack: list[list[Tree]] = [[]]
-    opened_at: list[int] = []
-    for i, ch in enumerate(s):
+    for ch in s:
         if ch == "[":
             stack.append([])
-            opened_at.append(i)
         elif ch == "]":
-            if len(stack) == 1:
-                raise ParseError("unmatched ']'", i)
             kids = stack.pop()
-            opened_at.pop()
             stack[-1].append(Tree(kids))
-        elif ch.isspace():
-            continue
-        else:
-            raise ParseError(f"unexpected character {ch!r}", i)
-    if len(stack) > 1:
-        raise ParseError("unclosed '['", opened_at[0])
     return Forest(stack[0])
 
 
@@ -165,10 +183,6 @@ def print_forest(f: Forest) -> str:
 # -- renderers ---------------------------------------------------------------
 
 
-def _as_trees(obj: Union[Tree, Forest]) -> tuple[Tree, ...]:
-    return (obj,) if isinstance(obj, Tree) else obj.trees
-
-
 def render(obj: Union[Tree, Forest], format: str = "ascii") -> str:
     """Render a tree or forest as indented ASCII or as a DOT digraph.
 
@@ -177,40 +191,28 @@ def render(obj: Union[Tree, Forest], format: str = "ascii") -> str:
     dot: edges oriented root -> child, node ids are per-component preorder
     indices, so output is deterministic and diff-friendly.
     """
+    walk = _preorder((obj,) if isinstance(obj, Tree) else obj.trees)
     if format == "ascii":
-        return _render_ascii(_as_trees(obj))
+        return "\n".join("  " * depth + "*" for _, _, depth, _ in walk)
     if format == "dot":
-        return _render_dot(_as_trees(obj))
+        lines = ["digraph forest {", "  node [shape=point];"]
+        for comp, vertex, _, parent in walk:
+            lines.append(f"  n{comp}_{vertex};")
+            if parent is not None:
+                lines.append(f"  n{comp}_{parent} -> n{comp}_{vertex};")
+        lines.append("}")
+        return "\n".join(lines)
     raise ValueError(f"unknown render format: {format!r}")
 
 
-def _render_ascii(trees: tuple[Tree, ...]) -> str:
-    lines: list[str] = []
-
-    def walk(t: Tree, depth: int) -> None:
-        lines.append("  " * depth + "*")
-        for child in t.children:
-            walk(child, depth + 1)
-
-    for t in trees:
-        walk(t, 0)
-    return "\n".join(lines)
-
-
-def _render_dot(trees: tuple[Tree, ...]) -> str:
-    lines = ["digraph forest {", "  node [shape=point];"]
-    for comp, t in enumerate(trees):
-        counter = [0]
-
-        def walk(node: Tree, parent: str | None) -> None:
-            name = f"n{comp}_{counter[0]}"
-            counter[0] += 1
-            lines.append(f"  {name};")
-            if parent is not None:
-                lines.append(f"  {parent} -> {name};")
-            for child in node.children:
-                walk(child, name)
-
-        walk(t, None)
-    lines.append("}")
-    return "\n".join(lines)
+def _preorder(trees: tuple[Tree, ...]) -> Iterator[tuple[int, int, int, int | None]]:
+    """(component, vertex, depth, parent) of every vertex in preorder, with one
+    explicit stack; vertex and parent are per-component preorder indices."""
+    for comp, root in enumerate(trees):
+        stack: list[tuple[Tree, int, int | None]] = [(root, 0, None)]
+        vertex = 0
+        while stack:
+            node, depth, parent = stack.pop()
+            yield comp, vertex, depth, parent
+            stack.extend((child, depth + 1, vertex) for child in reversed(node.children))
+            vertex += 1

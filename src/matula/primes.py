@@ -11,6 +11,7 @@ from __future__ import annotations
 import os
 import struct
 import threading
+import zlib
 from math import ceil, isqrt, log
 
 import numpy as np
@@ -21,6 +22,7 @@ DEFAULT_CAP = 2**32
 
 _SEGMENT = 1 << 21          # integers per sieve chunk: an odd-only mask of 1 MB
 _AUTO_FACTOR_SIEVE = 1 << 22  # factorize() builds a smallest-factor sieve up to here
+_CACHE_HEADER = struct.Struct("<QI")  # prime count, CRC-32 of the prime bytes
 
 
 def _nth_prime_bound(n: int) -> int:
@@ -242,10 +244,13 @@ class PrimeTable:
     # -- persistence ---------------------------------------------------------
 
     def save(self, path: str | os.PathLike) -> None:
-        """Write the prime list as little-endian 64-bit ints after a count."""
+        """Write the prime list as little-endian 64-bit ints after a 12-byte
+        header: their count and the CRC-32 of their bytes.  ``load`` refuses
+        a file whose checksum does not match, so a cache written before the
+        checksum existed (count only) now loads as corrupt."""
         data = self._primes.astype("<i8").tobytes()
         with open(path, "wb") as fh:
-            fh.write(struct.pack("<Q", len(self._primes)))
+            fh.write(_CACHE_HEADER.pack(len(self._primes), zlib.crc32(data)))
             fh.write(data)
 
     @classmethod
@@ -257,12 +262,15 @@ class PrimeTable:
         except FileNotFoundError:
             return table
         with fh:
-            header = fh.read(8)
-            if len(header) < 8:
-                raise ValueError(f"corrupt prime cache: {path}")
-            (n,) = struct.unpack("<Q", header)
-            primes = np.frombuffer(fh.read(8 * n), dtype="<i8").astype(np.int64)
-        if len(primes) != n or (n and (primes[0] != 2 or np.any(np.diff(primes) <= 0))):
+            header = fh.read(_CACHE_HEADER.size)
+            data = fh.read()
+        if len(header) < _CACHE_HEADER.size:
+            raise ValueError(f"corrupt prime cache: {path}")
+        n, crc = _CACHE_HEADER.unpack(header)
+        if len(data) != 8 * n or zlib.crc32(data) != crc:
+            raise ValueError(f"corrupt prime cache: {path}")
+        primes = np.frombuffer(data, dtype="<i8").astype(np.int64)
+        if n and (primes[0] != 2 or np.any(np.diff(primes) <= 0)):
             raise ValueError(f"corrupt prime cache: {path}")
         if n:
             if int(primes[-1]) > cap:

@@ -1,9 +1,11 @@
 import contextlib
+import functools
 import hashlib
 import io
 import json
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -283,6 +285,37 @@ def test_number_of_too_tall_exits_4_at_once(capsys, depth):
     assert time.perf_counter() - started < 5
 
 
+def test_number_of_refuses_a_deep_path_before_parsing(capsys):
+    # parsed, a path d deep keeps about d**2 characters of keys
+    depth = 60_000
+    tracemalloc.start()
+    started = time.perf_counter()
+    try:
+        code, _, err = run(capsys, "number-of", "[" * depth + "]" * depth)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 4 and "beyond the cap" in err
+    assert time.perf_counter() - started < 2
+    assert peak < 10 * 2**20
+
+
+@pytest.mark.parametrize(
+    "brackets, message",
+    [
+        ("[" * 60_000, "error: unclosed '[' (at offset 0)\n"),
+        ("[" * 60_000 + "]" * 60_000 + "x", "error: unexpected character 'x' (at offset 120000)\n"),
+    ],
+)
+def test_deep_malformed_input_keeps_the_parser_error(capsys, brackets, message):
+    code, _, err = run(capsys, "number-of", brackets)
+    assert code == 3 and err == message
+
+
+def test_number_of_empty_forest_under_a_small_cap(capsys):
+    assert run(capsys, "--cap", "1000000", "number-of", "") == (0, "1\n", "")
+
+
 def test_number_of_twelve_vertex_path(capsys):
     code, out, _ = run(capsys, "number-of", "[" * 12 + "]" * 12)
     assert code == 0 and out == "174440041\n"
@@ -358,61 +391,139 @@ def test_new_scan_kinds(capsys):
 
 
 # Which public operations each subcommand reaches (directly or through the
-# functions it calls).  Keeping this exhaustive is the point: every operation
-# the package exports must be exercised by some CLI entry.
+# functions it calls), recorded by running RUNS with every exported callable
+# wrapped.  Every operation the package exports must be reached by some CLI
+# entry, except the two in NO_CLI_ROUTE.
 REACHES = {
-    "arborify": ["arborify", "print_forest", "attach_root", "render"],
-    "number-of": ["parse_forest", "number_of", "detach_root"],
-    "stats": ["stats_of", "stats"],
+    "arborify": ["arborify", "attach_root", "print_forest", "render"],
+    "number-of": ["detach_root", "number_of", "parse_forest"],
+    "stats": ["arborify", "attach_root", "stats", "stats_of"],
     "degree-list": ["integers_of_degree"],
     "leaf-class": ["integers_with_leaf_count"],
     "butcher": ["butcher"],
     "fuse": ["fuse"],
-    "cuts": ["cuts", "cut_chains"],
-    "table": ["arborify", "print_forest"],
+    "cuts": ["cut_chains", "cuts"],
+    "table": ["arborify", "attach_root", "print_forest"],
     "ratio-table": ["ratio_table"],
     "scan": [
-        "scan_prime_rank_growth",
+        "butcher",
+        "check_tuple_width_bound",
+        "is_admissible",
+        "min_constellation_width",
+        "nap_law_holds",
+        "scan_cut_decrease",
         "scan_fusion",
+        "scan_nap_law",
+        "scan_prime_rank_growth",
         "scan_prime_size_bounds",
         "scan_rank_ratio_monotone",
         "scan_three_n",
-        "scan_cut_decrease",
         "value_increasing_cuts",
-        "check_tuple_width_bound",
-        "min_constellation_width",
-        "is_admissible",
-        "scan_nap_law",
-        "nap_law_holds",
     ],
-    "constellation": ["min_constellation_width", "is_admissible"],
-    "summatory": ["summatory", "mobius", "liouville", "factor_count"],
-    "partners": ["partner_candidates", "partner_moves", "is_squarefree"],
-    "pair": ["pair_range", "partner_moves", "is_squarefree", "summatory"],
+    "constellation": ["is_admissible", "min_constellation_width"],
+    "summatory": ["summatory"],
+    "partners": ["is_squarefree", "partner_candidates", "partner_moves"],
+    "pair": ["pair_range"],
     "validate-pairs": [
+        "factor_count",
+        "is_squarefree",
+        "liouville",
         "load_pairs",
+        "mobius",
         "report_from_pairs",
         "validation_errors",
-        "validate_report",
     ],
 }
 
+RUNS = {
+    "arborify": ["arborify 12", "arborify 9 --format dot"],
+    "number-of": ["number-of [[[]]]"],
+    "stats": ["stats 13"],
+    "degree-list": ["degree-list 5"],
+    "leaf-class": ["leaf-class 2 --max 100"],
+    "butcher": ["butcher 3 3"],
+    "fuse": ["fuse 5 7"],
+    "cuts": ["cuts 59 --trace"],
+    "table": ["table --to 20"],
+    "ratio-table": ["ratio-table 3 3"],
+    "scan": [f"scan {which} --max 12" for which in _SCANS],
+    "constellation": ["constellation 4"],
+    "summatory": ["summatory 100"],
+    "partners": ["partners 35 --mode mobius"],
+    "pair": ["pair 100"],
+    "validate-pairs": [
+        "validate-pairs {fixture} --max 96",
+        "validate-pairs {mobius} --max 3 --mode mobius",
+    ],
+}
 
-def test_every_operation_has_a_subcommand():
-    parser = _build_parser()
-    subactions = [a for a in parser._actions if hasattr(a, "choices") and a.choices]
-    commands = set(subactions[0].choices)
-    assert commands == set(REACHES)
+NO_CLI_ROUTE = {
+    "default_table",  # wiring: the CLI builds its own table
+    "validate_report",  # a boolean view of validation_errors, which validate-pairs prints
+}
 
+
+def _operations() -> list[str]:
     import matula
 
-    covered = {fn for fns in REACHES.values() for fn in fns}
-    operations = {
+    return [
         name
         for name in matula.__all__
-        if callable(getattr(matula, name))
-        and not isinstance(getattr(matula, name), type)
-    }
-    # default_table is wiring, not an operation: the CLI builds its own table
-    missing = operations - covered - {"default_table"}
+        if callable(getattr(matula, name)) and not isinstance(getattr(matula, name), type)
+    ]
+
+
+def _record_calls(monkeypatch) -> set[str]:
+    """Wrap every exported operation wherever a module binds it, as
+    perfbench/trace_step.py does, and empty the memo tables so cached values
+    do not hide a call; returns the set the wrappers fill."""
+    import matula
+    from matula import algebra, bijection, cli, forests, pairing, primes, scans
+
+    modules = [matula, algebra, bijection, cli, forests, pairing, primes, scans]
+    called: set[str] = set()
+
+    def wrap(name, fn):
+        @functools.wraps(fn)
+        def recorded(*args, **kwargs):
+            called.add(name)
+            return fn(*args, **kwargs)
+
+        return recorded
+
+    for name in _operations():
+        fn = getattr(matula, name)
+        recorded = wrap(name, fn)
+        for mod in modules:
+            for attr, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, attr, recorded)
+    for memo in ("_tree_of_prime", "_number_of_tree", "_vaf_of_prime", "_vertex_level_cache"):
+        monkeypatch.setattr(bijection, memo, {})
+    monkeypatch.setattr(algebra, "_cuts_cache", {})
+    return called
+
+
+def test_every_subcommand_is_recorded():
+    parser = _build_parser()
+    subactions = [a for a in parser._actions if hasattr(a, "choices") and a.choices]
+    assert set(subactions[0].choices) == set(REACHES) == set(RUNS)
+
+
+@pytest.mark.parametrize("command", list(RUNS))
+def test_subcommand_reaches_what_it_lists(monkeypatch, tmp_path, command):
+    mobius = tmp_path / "mobius.txt"
+    mobius.write_text("2 1\n")
+    called = _record_calls(monkeypatch)
+    for line in RUNS[command]:
+        argv = [word.format(fixture=FIXTURE, mobius=mobius) for word in line.split()]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0, line
+    assert sorted(called) == REACHES[command]
+
+
+def test_every_operation_has_a_subcommand():
+    covered = {fn for fns in REACHES.values() for fn in fns}
+    assert not covered & NO_CLI_ROUTE
+    missing = set(_operations()) - covered - NO_CLI_ROUTE
     assert not missing, f"operations with no CLI route: {sorted(missing)}"

@@ -17,6 +17,7 @@ from matula import (
     render,
     stats,
 )
+from matula.forests import bracket_depth
 
 CHERRY = Tree([LEAF, LEAF])
 CHAIN2 = Tree([LEAF])
@@ -132,6 +133,38 @@ def test_stats_add_over_forests(f):
     assert e == sum(stats(t).edges for t in f)
     assert l == sum(stats(t).leaves for t in f)
     assert e == v - len(f.trees)
+
+
+@settings(max_examples=150)
+@given(forests())
+def test_bracket_depth_is_the_tallest_height(f):
+    assert bracket_depth(print_forest(f)) == max((t.height for t in f), default=0)
+
+
+def test_bracket_depth_examples():
+    assert bracket_depth("") == bracket_depth(" \t") == 0
+    assert bracket_depth("[] [[[]] []]") == 3
+    with pytest.raises(ParseError) as exc:
+        bracket_depth("[[]] ] [")
+    assert exc.value.offset == 5
+
+
+def test_forests_compare_by_their_trees():
+    f = Forest([CHERRY, LEAF])
+    g = parse_forest("[] [[] []]")
+    assert f == g and hash(f) == hash(g) and f.trees[1] is g.trees[1]
+    assert f != Forest([CHERRY]) and f != print_forest(f)
+    assert Tree._intern[(LEAF, LEAF)] is CHERRY
+
+
+def test_render_a_tree_deeper_than_the_recursion_limit():
+    depth = 1500
+    path = parse_forest("[" * depth + "]" * depth)
+    ascii_lines = render(path, "ascii").split("\n")
+    assert ascii_lines[-1] == "  " * (depth - 1) + "*" and len(ascii_lines) == depth
+    dot = render(path, "dot")
+    assert dot.count("->") == depth - 1
+    assert f"  n0_{depth - 2} -> n0_{depth - 1};" in dot
 
 
 def test_render_ascii_two_trees():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matula import CapExceeded, NotPrime, PrimeTable
-from matula.primes import _SEGMENT, _pi_bound
+from matula.primes import _CACHE_HEADER, _SEGMENT, _pi_bound
 from oracles import primes_below, trial_factor_count
 
 
@@ -130,6 +130,50 @@ def test_cache_with_short_header_is_corrupt(tmp_path, header):
     path.write_bytes(header)
     with pytest.raises(ValueError, match="corrupt prime cache"):
         PrimeTable.load(path)
+
+
+@pytest.fixture
+def cache_file(tmp_path):
+    path = tmp_path / "primes.bin"
+    PrimeTable(10**5).save(path)
+    return path
+
+
+def test_cache_roundtrip_keeps_every_rank(cache_file):
+    loaded = PrimeTable.load(cache_file)
+    assert loaded.count == 9592
+    assert loaded.nth_prime(600) == 4409
+    assert loaded.prime_rank(10007) == 1230
+
+
+def _rewrite(path, count, primes):
+    (_, crc) = _CACHE_HEADER.unpack(path.read_bytes()[: _CACHE_HEADER.size])
+    path.write_bytes(_CACHE_HEADER.pack(count, crc) + primes)
+
+
+def test_cache_with_a_prime_deleted_is_corrupt(cache_file):
+    # still ascending from 2 with a matching count, so only the checksum can
+    # tell; without it p_600 read 4421 and the rank of 10007 read 1229
+    primes = cache_file.read_bytes()[_CACHE_HEADER.size :]
+    _rewrite(cache_file, 9591, primes[: 8 * 500] + primes[8 * 501 :])
+    with pytest.raises(ValueError, match="corrupt prime cache"):
+        PrimeTable.load(cache_file)
+
+
+def test_cache_with_one_bit_flipped_is_corrupt(cache_file):
+    # p_600 = 4409 becomes 4411: odd, and still between 4397 and 4421
+    primes = bytearray(cache_file.read_bytes()[_CACHE_HEADER.size :])
+    primes[8 * 599] ^= 0b10
+    _rewrite(cache_file, 9592, bytes(primes))
+    with pytest.raises(ValueError, match="corrupt prime cache"):
+        PrimeTable.load(cache_file)
+
+
+def test_cache_without_a_checksum_is_corrupt(cache_file):
+    raw = cache_file.read_bytes()  # the older format: the count, then the primes
+    cache_file.write_bytes(raw[:8] + raw[_CACHE_HEADER.size :])
+    with pytest.raises(ValueError, match="corrupt prime cache"):
+        PrimeTable.load(cache_file)
 
 
 def test_cache_absence_is_fine(tmp_path):

@@ -1,5 +1,6 @@
 import json
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -331,6 +332,60 @@ def test_validation_catches_wrong_bound_and_move(table):
         move_log=bad_move,
     )
     assert any("move log" in e for e in validation_errors(tampered, table))
+
+
+# One mutation per check of ``validation_errors`` and ``_replay_move`` that
+# the tests above leave unreached: each takes a valid report of 1..300 and returns the
+# mutant with the message that must appear.
+
+
+def _logged(report, kind, replacement):
+    """The mutant whose first move of this kind becomes replacement(move, k),
+    and the move-log error it must get."""
+    k, l = next((k, l) for k, l in report.pairs if report.move_log[k]["kind"] == kind)
+    move = replacement(dict(report.move_log[k]), k)
+    mutant = replace(report, move_log={**report.move_log, k: move})
+    return mutant, f"move log for {k} does not reach {l}: {move}"
+
+
+def _foreign_factor(move, k):
+    return {**move, "factor": next(q for q in (3, 5, 7) if k % q)}
+
+
+VALIDATION_MUTATIONS = {
+    "unknown mode": lambda r: (replace(r, mode="euler"), "unknown mode 'euler'"),
+    "singleton outside 1..N": lambda r: (
+        replace(r, singletons=r.singletons + [r.n + 1]),
+        f"singleton {r.n + 1} outside 1..{r.n}",
+    ),
+    "paired and a singleton": lambda r: (
+        replace(r, singletons=r.singletons + [r.pairs[0][0]]),
+        f"{r.pairs[0][0]} appears both paired and as a singleton",
+    ),
+    "wrong exact": lambda r: (
+        replace(r, exact=r.exact + 1),
+        f"exact {r.exact + 1} != recomputed {r.exact}",
+    ),
+    "cut of a factor below 3": lambda r: _logged(r, "cut", lambda mv, k: {**mv, "factor": 2}),
+    "cut of a factor not dividing k": lambda r: _logged(r, "cut", _foreign_factor),
+    "cut pair not a cut of its factor": lambda r: _logged(
+        r, "cut", lambda mv, k: {**mv, "detached": mv["factor"]}
+    ),
+    "fusion not dividing k": lambda r: _logged(
+        r, "fusion", lambda mv, k: {**mv, "left": next(q for q in (3, 5, 7) if k % q)}
+    ),
+    "malformed move": lambda r: _logged(r, "cut", lambda mv, k: {"kind": "cut"}),
+    "unknown move kind": lambda r: _logged(r, "cut", lambda mv, k: {**mv, "kind": "graft"}),
+}
+
+
+@pytest.mark.parametrize("mode", ["liouville", "mobius"])
+@pytest.mark.parametrize("mutation", list(VALIDATION_MUTATIONS))
+def test_every_validation_check_can_fail(table, mode, mutation):
+    report = pair_range(300, mode, "largest", table)
+    assert validation_errors(report, table) == []
+    mutant, message = VALIDATION_MUTATIONS[mutation](report)
+    assert message in validation_errors(mutant, table)
 
 
 def test_fixture_pairing_of_96_is_valid(table):
