@@ -26,7 +26,7 @@ from .bijection import (
     number_of,
     stats_of,
 )
-from .errors import CapExceeded, MatulaError, NotPrime, ParseError
+from .errors import CapExceeded, MatulaError, NotPrime, ParseError, SieveTooLarge
 from .forests import (
     EMPTY_FOREST,
     LEAF,
@@ -91,6 +91,7 @@ __all__ = [
     "ParseError",
     "PrimeTable",
     "ScanReport",
+    "SieveTooLarge",
     "Stats",
     "Tree",
     "TreeStats",

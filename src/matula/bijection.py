@@ -157,12 +157,12 @@ def _integers_with_vertex_count(c: int, table: PrimeTable) -> list[int]:
 
 def _prime_pool(c: int, table: PrimeTable) -> list[tuple[int, int]]:
     """(p, j) for every prime p whose tree has j <= c vertices: p = p_k with
-    k's forest on j - 1 vertices."""
-    return [
-        (table.nth_prime(k), j)
-        for j in range(1, c + 1)
-        for k in _integers_with_vertex_count(j - 1, table)
-    ]
+    k's forest on j - 1 vertices.  The primes of all levels come from one
+    ``nth_primes`` call, ranks in level order."""
+    levels = [_integers_with_vertex_count(j - 1, table) for j in range(1, c + 1)]
+    ranks = [k for level in levels for k in level]
+    weights = [j for j, level in enumerate(levels, 1) for _ in level]
+    return list(zip(table.nth_primes(ranks).tolist(), weights))
 
 
 def _multiset_products(pool: list[tuple[int, int]], total: int) -> list[int]:

@@ -1,7 +1,8 @@
 """Command-line front end: every library operation behind one subcommand.
 
 Exit codes: 0 success, 2 usage error, 3 domain error (bad value, non-prime
-input, malformed brackets, invalid pair fixture), 4 prime-cap overflow.
+input, malformed brackets, invalid pair fixture), 4 prime-cap overflow or a
+sieve larger than the machine grants.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import json
 import sys
 
 from . import algebra, bijection, forests, pairing, scans
-from .errors import CapExceeded, MatulaError, NotPrime, ParseError
+from .errors import CapExceeded, MatulaError, NotPrime, ParseError, SieveTooLarge
 from .primes import DEFAULT_CAP, PrimeTable
 
 # scan kind -> (function in ``scans``, its bound options in argument order).
@@ -306,7 +307,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _run(args)
-    except CapExceeded as exc:
+    except (CapExceeded, SieveTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     except (NotPrime, ParseError, ValueError, OSError) as exc:

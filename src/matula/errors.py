@@ -37,3 +37,19 @@ class ParseError(MatulaError):
     def __init__(self, message: str, offset: int):
         self.offset = offset
         super().__init__(f"{message} (at offset {offset})")
+
+
+class SieveTooLarge(MatulaError):
+    """The machine refused the memory a sieve extension asked for.
+
+    Like ``CapExceeded`` the computation is not wrong, merely out of reach;
+    a smaller ``cap`` turns such requests into ``CapExceeded`` up front.
+    """
+
+    def __init__(self, limit: int, nbytes: int):
+        self.limit = limit
+        self.nbytes = nbytes
+        super().__init__(
+            f"sieving primes up to {limit} needs {nbytes} bytes, "
+            "more than this machine could allocate"
+        )

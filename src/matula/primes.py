@@ -2,8 +2,10 @@
 
 The table sieves in segments and doubles its range on demand, so callers can
 treat ``nth_prime`` / ``prime_rank`` as total functions up to a configurable
-hard cap (default 2**32).  Everything else in the package consumes one shared
-table.
+hard cap (default 2**32).  ``nth_primes`` answers a batch of ranks past the
+table from segments sieved and dropped one at a time, so the table need not
+hold every prime below the largest answer.  Everything else in the package
+consumes one shared table.
 """
 
 from __future__ import annotations
@@ -12,13 +14,15 @@ import os
 import struct
 import threading
 import zlib
+from collections.abc import Iterator, Sequence
 from math import ceil, isqrt, log
 
 import numpy as np
 
-from .errors import CapExceeded, NotPrime
+from .errors import CapExceeded, NotPrime, SieveTooLarge
 
 DEFAULT_CAP = 2**32
+MAX_CAP = 2**63 - 1  # the table stores int64
 
 _SEGMENT = 1 << 21          # integers per sieve chunk: an odd-only mask of 1 MB
 _AUTO_FACTOR_SIEVE = 1 << 22  # factorize() builds a smallest-factor sieve up to here
@@ -48,6 +52,24 @@ def _pi_bound(x: int) -> int:
     return int(factor * x / ln) + 2
 
 
+def _rank_ceiling(cap: int) -> int:
+    """Least n >= 3 whose n-th prime provably lies past cap.
+
+    Dusart (1999): p_n >= n(ln n + ln ln n - 1) for n >= 2.  Compared in
+    logs; the margin keeps float rounding from rejecting a reachable n.  The
+    test is monotone in n, so a bisection finds where it starts to hold.
+    """
+    limit = log(cap) + 1e-9
+    lo, hi = 3, max(cap, 16)  # the test holds at hi
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if log(mid) + log(log(mid) + log(log(mid)) - 1) > limit:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
 class PrimeTable:
     """Ascending primes up to a movable limit, with rank lookups.
 
@@ -59,7 +81,10 @@ class PrimeTable:
     def __init__(self, limit: int = 0, cap: int = DEFAULT_CAP):
         if cap < 2:
             raise ValueError("cap must be at least 2")
+        if cap > MAX_CAP:
+            raise ValueError(f"cap must be at most 2**63 - 1 = {MAX_CAP}")
         self.cap = cap
+        self._rank_ceiling = _rank_ceiling(cap)
         self._limit = 1
         self._primes = np.empty(0, dtype=np.int64)
         self._spf: np.ndarray | None = None
@@ -90,22 +115,38 @@ class PrimeTable:
             target = min(max(new_limit, 2 * self._limit, 1 << 10), self.cap)
             # one buffer per extension, written in place; the part the bound
             # over-reserves is never touched, so it never becomes resident
+            size = _pi_bound(target)
+            try:
+                buf = np.empty(size, dtype=np.int64)
+            except MemoryError:
+                raise SieveTooLarge(target, 8 * size) from None
             count = len(self._primes)
-            buf = np.empty(_pi_bound(target), dtype=np.int64)
             buf[:count] = self._primes
-            lo = self._limit + 1
-            while lo <= target:
-                hi = min(lo + _SEGMENT - 1, target)
-                found = self._sieve_segment(lo, hi, buf[:count])
+            for found in self._segments(self._limit + 1, target):
                 buf[count : count + len(found)] = found
                 count += len(found)
-                lo = hi + 1
             self._primes = buf[:count]
             self._limit = target
 
+    def _segments(self, lo: int, hi: int) -> Iterator[np.ndarray]:
+        """The primes in [lo, hi], one sieve segment at a time, ascending.
+
+        The base primes come from the table when it reaches sqrt(hi) and are
+        sieved here otherwise.
+        """
+        root = isqrt(hi)
+        if self._limit >= root:
+            base = self._primes
+        else:
+            base = self._sieve_segment(2, root, np.empty(0, dtype=np.int64))
+        while lo <= hi:
+            top = min(lo + _SEGMENT - 1, hi)
+            yield self._sieve_segment(lo, top, base)
+            lo = top + 1
+
     @staticmethod
     def _sieve_segment(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
-        """Primes in [lo, hi], given all primes < lo in ``base`` (sieved here if short)."""
+        """Primes in [lo, hi], given those up to sqrt(hi) in ``base`` (sieved here if short)."""
         if hi < 2:
             return np.empty(0, dtype=np.int64)
         lo = max(lo, 2)
@@ -131,23 +172,66 @@ class PrimeTable:
 
     # -- queries -----------------------------------------------------------
 
+    def _rank_error(self, n: int) -> Exception:
+        """What ``nth_prime(n)`` raises for an n that is below 1 or past the cap."""
+        if n < 1:
+            return ValueError(f"prime index must be >= 1, got {n}")
+        return CapExceeded(_nth_prime_bound(n), self.cap)
+
     def nth_prime(self, n: int) -> int:
         """The n-th prime, 1-based (nth_prime(1) == 2)."""
-        if n < 1:
-            raise ValueError(f"prime index must be >= 1, got {n}")
-        # p_n >= n(ln n + ln ln n - 1) for n >= 2 (Dusart 1999): fail before
-        # sieving.  Compared in logs, which take ints of any size; the margin
-        # keeps float rounding from rejecting a reachable n.
-        if n > max(len(self._primes), 2) and (
-            log(n) + log(log(n) + log(log(n)) - 1) > log(self.cap) + 1e-9
-        ):
-            raise CapExceeded(_nth_prime_bound(n), self.cap)
+        if n < 1 or n >= self._rank_ceiling:  # the latter fails before sieving
+            raise self._rank_error(n)
         while n > len(self._primes):
             if self._limit >= self.cap:
-                raise CapExceeded(_nth_prime_bound(n), self.cap)
+                raise self._rank_error(n)
             bound = max(_nth_prime_bound(n), 2 * self._limit)
             self.extend_to(min(bound, self.cap))
         return int(self._primes[n - 1])
+
+    def nth_primes(self, ranks: Sequence[int] | np.ndarray) -> np.ndarray:
+        """The primes of the given 1-based ranks, in the order given.
+
+        Equal to ``[nth_prime(r) for r in ranks]``, and raises what that loop
+        would raise first, but the table grows only to the base primes of
+        the largest rank.  Ranks past the table are picked out of further
+        sieve segments by a running count; each segment is dropped once read.
+        """
+        try:
+            want = np.asarray(ranks, dtype=np.int64)
+        except OverflowError:  # a rank past int64 is past any cap
+            ranks = list(ranks)
+            i = next(i for i, r in enumerate(ranks) if not -(2**63) <= r < 2**63)
+            self.nth_primes(ranks[:i])  # an earlier rank may fail first
+            raise self._rank_error(ranks[i]) from None
+        bad = np.flatnonzero((want < 1) | (want >= self._rank_ceiling))
+        head = want[: bad[0]] if len(bad) else want
+        top = int(head.max(initial=0))
+        bound = min(_nth_prime_bound(top), self.cap)
+        if top > len(self._primes):
+            self.extend_to(isqrt(bound))  # the base primes only
+        with self._lock:
+            primes, limit = self._primes, self._limit
+        out = np.empty(len(head), dtype=np.int64)
+        inside = head <= len(primes)
+        out[inside] = primes[head[inside] - 1]
+        order = np.flatnonzero(~inside)
+        if len(order):
+            order = order[np.argsort(head[order], kind="stable")]
+            past = head[order]  # the ranks past the table, ascending
+            count, done = len(primes), 0
+            for found in self._segments(limit + 1, bound):
+                end = int(np.searchsorted(past, count + len(found), side="right"))
+                out[order[done:end]] = found[past[done:end] - count - 1]
+                count += len(found)
+                done = end
+                if done == len(past):
+                    break
+            else:  # the segments ran up to the cap
+                raise self._rank_error(int(head[np.argmax(head > count)]))
+        if len(bad):
+            raise self._rank_error(int(want[bad[0]]))
+        return out
 
     def first_n(self, n: int) -> np.ndarray:
         """Read-only array of the first n primes (for vectorised scans)."""

@@ -207,10 +207,12 @@ def scan_rank_ratio_monotone(n_max: int, table: PrimeTable | None = None) -> Sca
         raise ValueError(f"need n_max >= 2, got {n_max}")
     table = table or default_table()
     primes = table.first_n(n_max)
-    deep = table.first_n(int(primes[-1]))
+    # p_(p_n), largest rank first: a cap error then names the largest prime
+    # the scan needs
+    deep = table.nth_primes(primes[:0:-1])[::-1]
     ns = np.arange(2, n_max + 1, dtype=np.int64)
     p = primes[1:n_max]
-    bad = np.nonzero(p * p > ns * deep[p - 1])[0]
+    bad = np.nonzero(p * p > ns * deep)[0]
     return ScanReport(
         name="rank-ratio-monotone",
         range={"n_min": 2, "n_max": n_max},

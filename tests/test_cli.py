@@ -3,6 +3,8 @@ import functools
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -360,6 +362,91 @@ def test_validate_pairs_reports_members_outside_the_range(capsys, tmp_path, memb
 def test_cap_overflow_exit_code(capsys):
     code, _, err = run(capsys, "--cap", "100", "fuse", "89", "97")
     assert code == 4 and "cap" in err
+
+
+_SOUSSELIER = "scan sousselier --max 1000000"
+_DEGREE_18 = "a1e050df4098c515a86eaeb4ab1451bcbf8b79edfea5194be3fcfeacec45a527"
+_DEGREE_22 = "0d02def7f7ab23d54ce640aa5c2d6f39b05cc541abf776349a6287e746cbb1f9"
+
+
+def _past(needed: int, cap: int) -> str:
+    return f"error: operation needs primes up to ~{needed}, beyond the cap {cap}\n"
+
+
+# exit code, stderr and stdout sha256 of each command under a small cap,
+# recorded before the rank queries streamed past the table: which prime an
+# error names depends on the order the ranks are asked in
+CAPPED = {
+    f"--cap 100000 {_SOUSSELIER}": (4, _past(16441310, 100000), None),
+    "--cap 100000 degree-list 18": (4, _past(149345, 100000), None),
+    "--cap 100000 degree-list 22": (4, _past(149345, 100000), None),
+    f"--cap 1000000 {_SOUSSELIER}": (4, _past(16441310, 1000000), None),
+    "--cap 1000000 degree-list 18": (0, "", _DEGREE_18),
+    "--cap 1000000 degree-list 22": (4, _past(1213002, 1000000), None),
+    f"--cap 10000000 {_SOUSSELIER}": (4, _past(16441310, 10000000), None),
+    "--cap 10000000 degree-list 18": (0, "", _DEGREE_18),
+    "--cap 10000000 degree-list 22": (4, _past(10964837, 10000000), None),
+    f"--cap 100000000 {_SOUSSELIER}": (4, _past(299839652, 100000000), None),
+    "--cap 100000000 degree-list 18": (0, "", _DEGREE_18),
+    "--cap 100000000 degree-list 22": (0, "", _DEGREE_22),
+}
+
+
+@pytest.mark.parametrize("argv", list(CAPPED))
+def test_cap_errors_are_pinned(capsys, argv):
+    code, out, err = run(capsys, *argv.split())
+    expected_code, expected_err, digest = CAPPED[argv]
+    assert (code, err) == (expected_code, expected_err)
+    if digest is None:
+        assert out == ""
+    else:
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_degree_list_of_empty_levels(capsys):
+    assert run(capsys, "degree-list", "0") == (0, "1\n", "")
+    assert run(capsys, "degree-list", "1") == (0, "2\n", "")
+
+
+def test_cap_past_int64_exits_3(capsys):
+    # a 600-deep path under a 2001-digit cap used to end in a RecursionError
+    code, out, err = run(capsys, "--cap", "1" + "0" * 2000, "number-of", "[" * 600 + "]" * 600)
+    assert (code, out) == (3, "")
+    assert err == "error: cap must be at most 2**63 - 1 = 9223372036854775807\n"
+    assert run(capsys, "--cap", "9223372036854775807", "fuse", "5", "7") == (0, "37\n", "")
+
+
+def test_a_sieve_the_machine_refuses_exits_4(capsys):
+    # asks for about 73 PB at once; no 64-bit address space grants that
+    big = "100000000"
+    code, out, err = run(capsys, "--cap", "9223372036854775807", "ratio-table", big, big)
+    assert (code, out) == (4, "")
+    assert err == (
+        "error: sieving primes up to 404479826553924744 needs 81906338965784384 "
+        "bytes, more than this machine could allocate\n"
+    )
+
+
+# Spawns the command from a small process, as perfbench/launch.py does: on
+# Linux a child's ru_maxrss starts from its spawner's peak, and this test
+# process is large.
+_SPAWN = """
+import os, subprocess, sys
+child = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(child.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def test_degree_list_23_peaks_under_100_mb():
+    src = str(Path(__file__).parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    argv = [sys.executable, "-c", _SPAWN, sys.executable, "-m", "matula.cli", "degree-list", "23"]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120, check=True)
+    code, maxrss_kb = map(int, done.stdout.split())
+    assert code == 0
+    assert maxrss_kb < 100 * 1024  # 668 MB while the table stored every prime
 
 
 def test_usage_errors_exit_2(capsys):

@@ -1,12 +1,22 @@
+import sys
+import threading
 import tracemalloc
+from math import isqrt
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matula import CapExceeded, NotPrime, PrimeTable
-from matula.primes import _CACHE_HEADER, _SEGMENT, _pi_bound
+from matula import CapExceeded, NotPrime, PrimeTable, SieveTooLarge
+from matula.primes import (
+    MAX_CAP,
+    _CACHE_HEADER,
+    _SEGMENT,
+    _nth_prime_bound,
+    _pi_bound,
+    _rank_ceiling,
+)
 from oracles import primes_below, trial_factor_count
 
 
@@ -261,3 +271,165 @@ def test_extension_allocates_about_one_table():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * t._primes.nbytes
+
+
+def test_cap_must_fit_int64():
+    with pytest.raises(ValueError, match=r"at most 2\*\*63 - 1"):
+        PrimeTable(cap=MAX_CAP + 1)
+    assert PrimeTable(cap=MAX_CAP).nth_prime(10) == 29
+
+
+def test_a_sieve_the_machine_refuses_is_typed():
+    # about 740 PB of table: no 64-bit address space grants it, so the
+    # allocation fails at once
+    t = PrimeTable(cap=MAX_CAP)
+    with pytest.raises(SieveTooLarge) as exc:
+        t.extend_to(2**62)
+    assert exc.value.limit == 2**62
+    assert exc.value.nbytes == 8 * _pi_bound(2**62)
+    assert f"{2**62}" in str(exc.value) and f"{8 * _pi_bound(2**62)} bytes" in str(exc.value)
+    assert t.limit == 1 and t.nth_prime(5) == 11
+
+
+# -- nth_primes: selected ranks without storing the primes between them ------
+
+
+def _pi(table, x: int) -> int:
+    return len(table.primes_up_to(x))
+
+
+@st.composite
+def _rank_batches(draw, table):
+    """(table limit to prepare, ranks, as array?): ranks inside the table,
+    around its end, around the edges of the segments sieved after it, and
+    anywhere up to two segments past it; unsorted, with duplicates."""
+    start = draw(st.sampled_from([0, 5_000, _SEGMENT + 1]))
+    end = _pi(table, start)
+    edges = [_pi(table, start + k * _SEGMENT) + d for k in (1, 2) for d in (-1, 0, 1, 2)]
+    near_end = [r for r in range(end - 1, end + 3) if r >= 1]
+    rank = st.one_of(
+        st.integers(1, max(end, 1)),
+        st.sampled_from(near_end),
+        st.sampled_from(edges),
+        st.integers(1, edges[-1]),
+    )
+    ranks = draw(st.lists(rank, max_size=10))
+    return start, ranks, draw(st.booleans())
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_nth_primes_equals_a_loop_of_nth_prime(table, data):
+    start, ranks, as_array = data.draw(_rank_batches(table))
+    t = PrimeTable(start)
+    before = t.limit
+    got = t.nth_primes(np.array(ranks, dtype=np.int64) if as_array else ranks)
+    assert got.dtype == np.int64
+    fresh = PrimeTable()
+    assert got.tolist() == [fresh.nth_prime(r) for r in ranks]
+    if ranks:  # the table grows to the base primes at most
+        bound = _nth_prime_bound(max(ranks))
+        assert t.limit <= max(before, 2 * (isqrt(bound - 1) + 1), 1024)
+
+
+def test_nth_primes_reads_and_streams_without_storing():
+    t = PrimeTable()
+    assert t.nth_primes([]).tolist() == [] and t.limit == 1
+    assert t.nth_primes(np.empty(0, dtype=np.int64)).dtype == np.int64
+    ranks = [10**6, 3, 10**6, 1, 78_498]
+    assert t.nth_primes(ranks).tolist() == [15_485_863, 5, 15_485_863, 2, 999_983]
+    assert t.limit < 10**4 and t.count < 10**3
+
+
+def _first_error(table, ranks):
+    for r in ranks:
+        try:
+            table.nth_prime(r)
+        except Exception as exc:  # noqa: BLE001 - compared by type and text
+            return exc
+    return None
+
+
+@st.composite
+def _capped_ranks(draw, table):
+    """(cap, ranks): ranks below 1, inside the cap, just past pi(cap) where
+    only sieving to the cap tells, past the Dusart ceiling, and past int64."""
+    cap = draw(st.sampled_from([2, 100, 1_000, 7_919, 10**4, 2 * _SEGMENT + 1]))
+    last = _pi(table, cap)
+    rank = st.one_of(
+        st.integers(-3, 40),
+        st.integers(max(last - 3, 1), _rank_ceiling(cap) + 2),
+        st.sampled_from([2**62, 2**63 - 1, 2**63, 2**70, -(2**63), -(2**70)]),
+    )
+    return cap, draw(st.lists(rank, max_size=6))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_nth_primes_raises_what_the_loop_raises_first(table, data):
+    cap, ranks = data.draw(_capped_ranks(table))
+    expected = _first_error(PrimeTable(cap=cap), ranks)
+    t = PrimeTable(cap=cap)
+    if expected is None:
+        assert t.nth_primes(ranks).tolist() == [PrimeTable().nth_prime(r) for r in ranks]
+        return
+    with pytest.raises(type(expected)) as exc:
+        t.nth_primes(ranks)
+    assert str(exc.value) == str(expected)
+    if all(-(2**63) <= r < 2**63 for r in ranks):  # the same from an int64 array
+        with pytest.raises(type(expected)) as exc:
+            PrimeTable(cap=cap).nth_primes(np.array(ranks, dtype=np.int64))
+        assert str(exc.value) == str(expected)
+
+
+@pytest.mark.parametrize("cap", [1_000, 2 * _SEGMENT + 1])
+def test_nth_primes_names_the_first_rank_past_the_cap(table, cap):
+    # pi(cap) < rank < the Dusart ceiling: only sieving to the cap tells
+    last = _pi(table, cap)
+    ranks = [5, last + 1, last + 3, last, last + 2]
+    assert last + 3 < _rank_ceiling(cap)
+    with pytest.raises(CapExceeded) as exc:
+        PrimeTable(cap=cap).nth_primes(ranks)
+    assert str(exc.value) == str(CapExceeded(_nth_prime_bound(last + 1), cap))
+    assert str(exc.value) == str(_first_error(PrimeTable(cap=cap), ranks))
+
+
+def test_nth_primes_past_int64_is_past_the_cap():
+    t = PrimeTable()
+    with pytest.raises(CapExceeded, match=r"~2\*\*\d+, beyond"):
+        t.nth_primes([5, 2**70])
+    with pytest.raises(ValueError, match="got 0"):
+        t.nth_primes([0, 2**70])
+    with pytest.raises(CapExceeded):
+        t.nth_primes([2**70, 0])
+    assert t.limit < 10**4
+
+
+def test_nth_primes_from_threads_sharing_a_table(table):
+    # readers stream past the table while others extend it under them
+    shared = PrimeTable()
+    reference = table.first_n(300_000)
+    batches = [list(range(k, 300_000, 997 + k)) for k in range(1, 7)]
+    errors: list[Exception] = []
+
+    def work(ranks):
+        try:
+            if ranks[0] % 2:
+                shared.extend_to(ranks[0] * 10**5)
+            got = shared.nth_primes(ranks[::-1])[::-1]
+            assert np.array_equal(got, reference[np.array(ranks) - 1])
+        except Exception as exc:  # noqa: BLE001 - reported below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(b,)) for b in batches]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []

@@ -3,6 +3,8 @@
 Each sha256 below was recorded before the tree core was keyed on child
 identities (interning on child tuples, forests compared by their trees, one
 preorder walk for both renderers); none of those changes may move a byte.
+Those of ``degree-list 22`` and ``23`` were recorded while the table still
+stored every prime up to the largest rank the levels ask for.
 """
 
 import contextlib
@@ -79,6 +81,8 @@ PINNED = {
     "cuts 99991 --trace --format text": "c931d88df65378f1db2b00411c3427f7c7fea161eb7d4b5c9c55f8a18bc041c3",
     "cuts 99991 --trace --format json": "b7ae6f5c56109d1e07af903168a7fc2b9bf2e0d6e82273c3728dc128582d4f57",
     "degree-list 20": "ccefe6ec78daaa8bb8931dad2bb590b6d5fc8bd1d8c21d8902fe058ee3c1658a",
+    "degree-list 22": "0d02def7f7ab23d54ce640aa5c2d6f39b05cc541abf776349a6287e746cbb1f9",
+    "degree-list 23": "8b12ce603de4b1d4441e7df990ec49bc8b63f66046cf89678db1870c5bbee202",
     "leaf-class 3 --max 20000": "fd008ac2cb18ec430d70a4660075a6804ffff7ee2b7bd4bed8101fb762b7c988",
     "stats 2597": "30763b54303c8d2c233a8cad7631bf108da7381c9dc6f3894d567f7d8760f029",
     "partners 35": "f4ccd05b3271c386ee55d9876c7450012a3b361e5065c09dc22075e38b3cc35c",
