@@ -4,15 +4,20 @@ The map sends 1 to the empty forest, a product to the multiset union of the
 factors' forests, and the n-th prime to the tree obtained by putting a root
 below the forest of n.  Vertex/edge/leaf statistics and the induced degree
 grading are computed arithmetically (they are completely additive), with the
-forest path kept as an independent cross-check in the tests.
+forest path kept as an independent cross-check in the tests.  The bracket
+text of a range (``table_text``) and the leaf classes are arithmetic too:
+they build no tree or forest object.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
-from math import log
+from math import isqrt, log
 
-from .errors import CapExceeded
+import numpy as np
+
+from .errors import CapExceeded, MatulaError
 from .forests import Forest, Tree, attach_root, detach_root
 from .primes import PrimeTable, default_table
 
@@ -21,6 +26,7 @@ from .primes import PrimeTable, default_table
 _tree_of_prime: dict[int, Tree] = {}
 _number_of_tree: dict[Tree, int] = {}
 _vaf_of_prime: dict[int, tuple[int, int, int]] = {}
+_key_of_prime: dict[int, str] = {}
 
 
 def arborify(n: int, table: PrimeTable | None = None) -> Forest:
@@ -94,6 +100,92 @@ def _tree_number(t: Tree, table: PrimeTable) -> int:
         _number_of_tree[t] = p
         _tree_of_prime[p] = t
     return p
+
+
+# -- bracket strings without trees --------------------------------------------
+
+
+def _prime_key(p: int, table: PrimeTable) -> str:
+    """Bracket key of prime p's tree: a root under the sorted keys of its rank's forest."""
+    key = _key_of_prime.get(p)
+    if key is None:
+        key = "[%s]" % "".join(_sorted_keys(table.prime_rank(p), table))
+        _key_of_prime[p] = key
+    return key
+
+
+def _sorted_keys(n: int, table: PrimeTable) -> list[str]:
+    """Keys of the trees of n's forest, ascending; the same calls, in the
+    same order, as ``arborify``, so it raises what ``arborify`` raises."""
+    keys: list[str] = []
+    for p, e in table.factorize(n):
+        keys += [_prime_key(p, table)] * e
+    keys.sort()
+    return keys
+
+
+_TABLE_BLOCK = 1 << 12  # rows per table block; bounds the work arrays and text chunk
+
+
+def table_text(lo: int, hi: int, table: PrimeTable | None = None) -> Iterator[str]:
+    """The lines ``n<TAB>forest key`` for n in lo..hi, one text chunk per block
+    of rows aligned to multiples of _TABLE_BLOCK.
+
+    A block that raises a MatulaError is redone row by row, so every row
+    before the failing one is yielded first, as a loop over ``arborify``
+    would print it.
+    """
+    if lo < 1 or hi < lo:
+        raise ValueError(f"bad range: from {lo} to {hi}")
+    table = table or default_table()
+    while lo <= hi:
+        end = min((lo // _TABLE_BLOCK + 1) * _TABLE_BLOCK - 1, hi)
+        try:  # the block's work arrays are int64
+            chunk = _table_block(lo, end, table) if end < 2**62 else None
+        except MatulaError:
+            chunk = None
+        if chunk is None:
+            for n in range(lo, end + 1):
+                yield f"{n}\t{' '.join(_sorted_keys(n, table))}\n"
+        else:
+            yield chunk
+        lo = end + 1
+
+
+def _table_block(lo: int, end: int, table: PrimeTable) -> str:
+    """Table lines of lo..end from one factorization of the whole block.
+
+    Dividing each prime power p**e <= end (p <= sqrt(end)) out of its
+    multiples records one factor p there; a remainder above 1 is one more
+    prime factor.  The block's distinct keys are sorted once, and one
+    lexsort on (row, key rank) puts each row's factors in key order.
+    """
+    rest = np.arange(lo, end + 1, dtype=np.int64)
+    rows, factors = [], []
+    for p in table.primes_up_to(isqrt(end)).tolist():
+        power = p
+        while power <= end:
+            hit = np.arange((-lo) % power, len(rest), power)
+            rest[hit] //= p
+            rows.append(hit)
+            factors.append(np.full(len(hit), p, dtype=np.int64))
+            power *= p
+    big = np.flatnonzero(rest > 1)
+    rows.append(big)
+    factors.append(rest[big])
+    row = np.concatenate(rows)
+    primes, which = np.unique(np.concatenate(factors), return_inverse=True)
+    keys = [_prime_key(p, table) for p in primes.tolist()]
+    rank = np.empty(len(keys), dtype=np.int64)
+    rank[sorted(range(len(keys)), key=keys.__getitem__)] = np.arange(len(keys))
+    order = np.lexsort((rank[which], row))
+    ordered = [keys[i] for i in which[order].tolist()]
+    stops = np.cumsum(np.bincount(row, minlength=len(rest))).tolist()
+    lines, start = [], 0
+    for n, stop in zip(range(lo, end + 1), stops):
+        lines.append(f"{n}\t{' '.join(ordered[start:stop])}\n")
+        start = stop
+    return "".join(lines)
 
 
 @dataclass(frozen=True)
@@ -203,7 +295,55 @@ def integers_with_leaf_count(
     """All n <= bound whose forest has exactly leaf_count leaves, ascending."""
     if leaf_count < 1:
         raise ValueError(f"leaf count must be >= 1, got {leaf_count}")
-    table = table or default_table()
-    return [
-        n for n in range(2, bound + 1) if _int_vaf(n, table)[2] == leaf_count
-    ]
+    if bound < 2:
+        return []
+    leaves = _leaf_counts(bound, table or default_table())
+    return np.flatnonzero(leaves == leaf_count).tolist()
+
+
+_LEAF_BLOCK = 1 << 16  # integers per vectorised step of ``_leaf_counts``
+
+
+def _leaf_counts(bound: int, table: PrimeTable) -> np.ndarray:
+    """int8 leaf count of every k in 0..bound (bound >= 2), indexed by k.
+
+    Leaf counts are completely additive and a prime p_n has max(f(n), 1)
+    leaves, so from the smallest-factor sieve f[k] = f[spf k] + f[k / spf k]
+    for a composite k and f[p] = max(f[pi(p)], 1) for a prime.  For lo >= 16
+    every k in [lo, 2 lo) reads only entries below lo (pi(2 lo) < lo), so
+    such a block is a few array assignments; below 16 they go one at a time.
+    f(n) <= log2 n, so int8 holds it.  Raises CapExceeded, naming the first
+    prime past the cap, when 2..bound holds one.
+    """
+    cap = table.cap
+    top = min(bound, 2 * cap)  # Bertrand: (cap, 2 cap] holds a prime
+    table.ensure_factor_sieve(top)
+    spf = table._spf
+    for lo in range(cap + 1, top + 1, _LEAF_BLOCK):
+        hi = min(lo + _LEAF_BLOCK, top + 1)
+        past = np.flatnonzero(spf[lo:hi] == np.arange(lo, hi))
+        if len(past):
+            raise CapExceeded(lo + int(past[0]), cap)
+    f = np.zeros(bound + 1, dtype=np.int8)
+    count = 0  # primes below the current k or block
+    for k in range(2, min(bound, 15) + 1):
+        p = int(spf[k])
+        if p == k:
+            count += 1
+            f[k] = max(f[count], 1)
+        else:
+            f[k] = f[p] + f[k // p]
+    lo = 16
+    while lo <= bound:
+        hi = min(2 * lo, lo + _LEAF_BLOCK, bound + 1)
+        ks = np.arange(lo, hi)
+        s = spf[lo:hi]
+        prime = s == ks
+        ranks = count + np.cumsum(prime)
+        out = f[lo:hi]
+        out[prime] = f[ranks[prime]]  # pi(p) >= 2 has a leaf: no max needed
+        comp = ~prime
+        out[comp] = f[s[comp]] + f[ks[comp] // s[comp]]
+        count = int(ranks[-1])
+        lo = hi
+    return f

@@ -219,10 +219,8 @@ def _run(args: argparse.Namespace) -> int:
                     print("chain: " + " -> ".join(map(str, chain)))
 
     elif cmd == "table":
-        if args.lo < 1 or args.hi < args.lo:
-            raise ValueError(f"bad range: from {args.lo} to {args.hi}")
-        for n in range(args.lo, args.hi + 1):
-            print(f"{n}\t{forests.print_forest(bijection.arborify(n, table))}")
+        for chunk in bijection.table_text(args.lo, args.hi, table):
+            sys.stdout.write(chunk)
 
     elif cmd == "ratio-table":
         entries = scans.ratio_table(args.k, args.l, table)

@@ -268,7 +268,11 @@ class PrimeTable:
     # -- factorization -----------------------------------------------------
 
     def ensure_factor_sieve(self, limit: int) -> None:
-        """Build (or grow) the smallest-prime-factor sieve to cover at least ``limit``."""
+        """Build (or grow) the smallest-prime-factor sieve to cover at least ``limit``.
+
+        The cap does not bound it (it stores factors, not primes past the
+        table); an allocation the machine refuses raises ``SieveTooLarge``.
+        """
         if self._spf is not None and len(self._spf) > limit:
             return
         with self._lock:
@@ -277,7 +281,12 @@ class PrimeTable:
             # power-of-two sizes up to the automatic ceiling: O(log k) rebuilds
             doubled = min(1 << max(limit.bit_length(), 20), _AUTO_FACTOR_SIEVE + 1)
             size = max(limit + 1, doubled)
-            spf = np.zeros(size, dtype=np.int32)
+            # a prime is its own entry, so int32 holds entries below 2**31 only
+            dtype = np.dtype(np.int32 if size <= 2**31 else np.int64)
+            try:
+                spf = np.zeros(size, dtype=dtype)
+            except MemoryError:
+                raise SieveTooLarge(size - 1, dtype.itemsize * size) from None
             # largest prime first, so each composite keeps its smallest factor
             for p in reversed(self._sieve_segment(2, isqrt(size - 1), self._primes)):
                 spf[p * p :: p] = p

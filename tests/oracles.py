@@ -5,9 +5,39 @@ arithmetic) so that the rank-recursion implementations are checked against a
 second, structurally different computation path.
 """
 
+import contextlib
 from math import isqrt
 
-from matula import Forest, Tree, arborify, is_squarefree, number_of
+from matula import Forest, Tree, arborify, bijection, is_squarefree, number_of, print_forest
+
+# The module-global memo tables of ``matula.bijection``.  A prime found there
+# skips the rank lookup that checks the cap, so a test that pins a cap error,
+# or wraps functions to see which ones run, starts from empty memos.
+BIJECTION_MEMOS = (
+    "_tree_of_prime",
+    "_number_of_tree",
+    "_vaf_of_prime",
+    "_vertex_level_cache",
+    "_key_of_prime",
+)
+
+
+@contextlib.contextmanager
+def fresh_memos():
+    """Run the body with empty bijection memos, then put the old ones back."""
+    saved = {name: getattr(bijection, name) for name in BIJECTION_MEMOS}
+    for name in BIJECTION_MEMOS:
+        setattr(bijection, name, {})
+    try:
+        yield
+    finally:
+        for name, memo in saved.items():
+            setattr(bijection, name, memo)
+
+
+def table_rows(lo: int, hi: int, table) -> list[str]:
+    """Table lines one forest at a time, as ``table`` printed them through trees."""
+    return [f"{n}\t{print_forest(arborify(n, table))}\n" for n in range(lo, hi + 1)]
 
 
 def trial_factor_count(k: int) -> int:

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matula.cli import _SCANS, _build_parser, main
+from oracles import BIJECTION_MEMOS
 
 FIXTURE = str(Path(__file__).parent / "data" / "pairs_liouville_96.txt")
 
@@ -490,7 +491,7 @@ REACHES = {
     "butcher": ["butcher"],
     "fuse": ["fuse"],
     "cuts": ["cut_chains", "cuts"],
-    "table": ["arborify", "attach_root", "print_forest"],
+    "table": [],  # bracket strings from arithmetic, no tree operation
     "ratio-table": ["ratio_table"],
     "scan": [
         "butcher",
@@ -585,7 +586,7 @@ def _record_calls(monkeypatch) -> set[str]:
             for attr, value in list(vars(mod).items()):
                 if value is fn:
                     monkeypatch.setattr(mod, attr, recorded)
-    for memo in ("_tree_of_prime", "_number_of_tree", "_vaf_of_prime", "_vertex_level_cache"):
+    for memo in BIJECTION_MEMOS:
         monkeypatch.setattr(bijection, memo, {})
     monkeypatch.setattr(algebra, "_cuts_cache", {})
     return called

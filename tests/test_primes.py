@@ -291,6 +291,23 @@ def test_a_sieve_the_machine_refuses_is_typed():
     assert t.limit == 1 and t.nth_prime(5) == 11
 
 
+def test_a_factor_sieve_the_machine_refuses_is_typed():
+    # about 800 PB of int64 smallest factors (int32 would wrap the primes
+    # past 2**31), refused at once
+    t = PrimeTable(cap=MAX_CAP)
+    with pytest.raises(SieveTooLarge) as exc:
+        t.ensure_factor_sieve(10**17)
+    assert (exc.value.limit, exc.value.nbytes) == (10**17, 8 * (10**17 + 1))
+    assert t._spf is None and t.factorize(12) == [(2, 2), (3, 1)]
+    assert t._spf.dtype == np.int32
+
+
+def test_the_factor_sieve_is_not_bounded_by_the_cap():
+    t = PrimeTable(cap=1000)
+    t.ensure_factor_sieve(5000)
+    assert len(t._spf) > 5000 and t.factorize(4999) == [(4999, 1)]
+
+
 # -- nth_primes: selected ranks without storing the primes between them ------
 
 
