@@ -60,8 +60,9 @@ def cuts(q: int, table: PrimeTable | None = None) -> frozenset[CutPair]:
 
 
 def _ordered_cuts(q: int, table: PrimeTable) -> tuple[CutPair, ...]:
-    """``cuts(q)`` in ascending order, memoised in ``_cuts_cache``."""
-    got = _cuts_cache.get(q)
+    """``cuts(q)`` in ascending order, memoised in ``_cuts_cache`` (a hit
+    counts only within the cap, where a fresh computation would not fail)."""
+    got = _cuts_cache.get(q) if q <= table.cap else None
     if got is None:
         n = table.prime_rank(q)
         acc: set[CutPair] = set()

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from math import isqrt, log
+from math import log
 
 import numpy as np
 
@@ -22,7 +22,9 @@ from .forests import Forest, Tree, attach_root, detach_root
 from .primes import PrimeTable, default_table
 
 # Math values below do not depend on which table computed them, so the caches
-# are module-global; dict reads/writes are atomic under CPython.
+# are module-global; dict reads/writes are atomic under CPython.  A hit counts
+# only for a prime within the table's cap: computing prime p afresh touches
+# no prime above p, so a hit answers what the table itself would.
 _tree_of_prime: dict[int, Tree] = {}
 _number_of_tree: dict[Tree, int] = {}
 _vaf_of_prime: dict[int, tuple[int, int, int]] = {}
@@ -42,7 +44,7 @@ def arborify(n: int, table: PrimeTable | None = None) -> Forest:
 
 
 def _prime_tree(p: int, table: PrimeTable) -> Tree:
-    t = _tree_of_prime.get(p)
+    t = _tree_of_prime.get(p) if p <= table.cap else None
     if t is None:
         t = attach_root(arborify(table.prime_rank(p), table))
         _tree_of_prime[p] = t
@@ -94,7 +96,7 @@ def check_height(height: int, cap: int) -> None:
 
 def _tree_number(t: Tree, table: PrimeTable) -> int:
     p = _number_of_tree.get(t)
-    if p is None:
+    if p is None or p > table.cap:
         check_height(t.height, table.cap)
         p = table.nth_prime(number_of(detach_root(t), table))
         _number_of_tree[t] = p
@@ -107,7 +109,7 @@ def _tree_number(t: Tree, table: PrimeTable) -> int:
 
 def _prime_key(p: int, table: PrimeTable) -> str:
     """Bracket key of prime p's tree: a root under the sorted keys of its rank's forest."""
-    key = _key_of_prime.get(p)
+    key = _key_of_prime.get(p) if p <= table.cap else None
     if key is None:
         key = "[%s]" % "".join(_sorted_keys(table.prime_rank(p), table))
         _key_of_prime[p] = key
@@ -131,47 +133,34 @@ def table_text(lo: int, hi: int, table: PrimeTable | None = None) -> Iterator[st
     """The lines ``n<TAB>forest key`` for n in lo..hi, one text chunk per block
     of rows aligned to multiples of _TABLE_BLOCK.
 
-    A block that raises a MatulaError is redone row by row, so every row
-    before the failing one is yielded first, as a loop over ``arborify``
-    would print it.
+    Rows go one at a time past 2**62 (int64 work arrays) and from the first
+    block that raises a MatulaError: it fails on one of its own rows, or on
+    sqrt of its end past the cap, as every later block then does too.  So
+    every row before a failing one is yielded, as ``arborify`` would print it.
     """
     if lo < 1 or hi < lo:
         raise ValueError(f"bad range: from {lo} to {hi}")
     table = table or default_table()
-    while lo <= hi:
-        end = min((lo // _TABLE_BLOCK + 1) * _TABLE_BLOCK - 1, hi)
-        try:  # the block's work arrays are int64
-            chunk = _table_block(lo, end, table) if end < 2**62 else None
-        except MatulaError:
-            chunk = None
-        if chunk is None:
-            for n in range(lo, end + 1):
-                yield f"{n}\t{' '.join(_sorted_keys(n, table))}\n"
-        else:
-            yield chunk
-        lo = end + 1
+    try:
+        for start, rest, powers in table.factor_blocks(lo, min(hi, 2**62 - 1), _TABLE_BLOCK):
+            yield _table_block(start, rest, powers, table)
+            lo = start + len(rest)
+    except MatulaError:
+        pass
+    for n in range(lo, hi + 1):
+        yield f"{n}\t{' '.join(_sorted_keys(n, table))}\n"
 
 
-def _table_block(lo: int, end: int, table: PrimeTable) -> str:
-    """Table lines of lo..end from one factorization of the whole block.
+def _table_block(lo: int, rest: np.ndarray, powers: list, table: PrimeTable) -> str:
+    """Table lines of the ``PrimeTable.factor_blocks`` block that starts at lo.
 
-    Dividing each prime power p**e <= end (p <= sqrt(end)) out of its
-    multiples records one factor p there; a remainder above 1 is one more
-    prime factor.  The block's distinct keys are sorted once, and one
+    Each prime power's multiples get one factor p; a remainder above 1 is one
+    more prime factor.  The block's distinct keys are sorted once, and one
     lexsort on (row, key rank) puts each row's factors in key order.
     """
-    rest = np.arange(lo, end + 1, dtype=np.int64)
-    rows, factors = [], []
-    for p in table.primes_up_to(isqrt(end)).tolist():
-        power = p
-        while power <= end:
-            hit = np.arange((-lo) % power, len(rest), power)
-            rest[hit] //= p
-            rows.append(hit)
-            factors.append(np.full(len(hit), p, dtype=np.int64))
-            power *= p
     big = np.flatnonzero(rest > 1)
-    rows.append(big)
+    rows = [np.arange(hit.start, len(rest), hit.step) for _p, _e, hit in powers] + [big]
+    factors = [np.full(len(row), p, dtype=np.int64) for row, (p, _e, _) in zip(rows, powers)]
     factors.append(rest[big])
     row = np.concatenate(rows)
     primes, which = np.unique(np.concatenate(factors), return_inverse=True)
@@ -182,7 +171,7 @@ def _table_block(lo: int, end: int, table: PrimeTable) -> str:
     ordered = [keys[i] for i in which[order].tolist()]
     stops = np.cumsum(np.bincount(row, minlength=len(rest))).tolist()
     lines, start = [], 0
-    for n, stop in zip(range(lo, end + 1), stops):
+    for n, stop in zip(range(lo, lo + len(rest)), stops):
         lines.append(f"{n}\t{' '.join(ordered[start:stop])}\n")
         start = stop
     return "".join(lines)
@@ -205,7 +194,7 @@ class Stats:
 
 
 def _prime_vaf(p: int, table: PrimeTable) -> tuple[int, int, int]:
-    got = _vaf_of_prime.get(p)
+    got = _vaf_of_prime.get(p) if p <= table.cap else None
     if got is None:
         v, _a, f = _int_vaf(table.prime_rank(p), table)
         # adding a root gives one new vertex and one edge per tree of the

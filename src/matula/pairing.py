@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from math import isqrt
 from operator import itemgetter
 
 import numpy as np
@@ -73,31 +72,21 @@ def summatory(n: int, mode: str, table: PrimeTable | None = None) -> int:
 _SIGN_BLOCK = 1 << 16  # integers per sign-sieve block; bounds its int64 work array
 
 
-def _sign_blocks(
-    lo: int, hi: int, mode: str, table: PrimeTable
-) -> Iterator[np.ndarray]:
+def _sign_blocks(lo: int, hi: int, mode: str, table: PrimeTable) -> Iterator[np.ndarray]:
     """int8 signs of lo..hi (lo >= 1), in blocks aligned to multiples of _SIGN_BLOCK.
 
-    Dividing each prime power p**e <= end (p <= sqrt(end)) out of its multiples
-    flips their sign; a remainder above 1 is one more prime, and flips it again.
-    Mobius mode gives multiples of p**2 the sign 0.
+    Each prime power of ``PrimeTable.factor_blocks`` flips its multiples' signs
+    (mobius mode zeroes them from p**2 on), and a remainder above 1 flips again.
     """
-    while lo <= hi:
-        end = min((lo // _SIGN_BLOCK + 1) * _SIGN_BLOCK - 1, hi)
-        rest = np.arange(lo, end + 1, dtype=np.int64)
+    for _start, rest, powers in table.factor_blocks(lo, hi, _SIGN_BLOCK):
         signs = np.ones(len(rest), dtype=np.int8)
-        for p in table.primes_up_to(isqrt(end)).tolist():
-            power = p
-            while power <= end:
-                multiples = slice((-lo) % power, None, power)
-                rest[multiples] //= p
-                signs[multiples] *= -1
-                if mode == MOBIUS and power > p:
-                    signs[multiples] = 0
-                power *= p
+        for _p, e, hit in powers:
+            if mode == MOBIUS and e > 1:
+                signs[hit] = 0
+            else:
+                signs[hit] *= -1
         signs[rest > 1] *= -1
         yield signs
-        lo = end + 1
 
 
 def _signs(n: int, mode: str, table: PrimeTable) -> np.ndarray:

@@ -334,6 +334,30 @@ class PrimeTable:
         """Distinct prime factors of k, ascending."""
         return [p for p, _ in self.factorize(k)]
 
+    def factor_blocks(
+        self, lo: int, hi: int, size: int
+    ) -> Iterator[tuple[int, np.ndarray, list[tuple[int, int, slice]]]]:
+        """Factor lo..hi (lo >= 1) in blocks aligned to multiples of size.
+
+        Per block, yields (start, rest, powers): (p, e, hit) in ``powers``, e
+        ascending per p, for each prime power p**e <= end (p <= sqrt(end)),
+        where slice ``hit`` picks the block's multiples of p**e; p is divided
+        out of each.  That leaves in ``rest`` 1 or the one prime above sqrt(end).
+        """
+        while lo <= hi:
+            end = min((lo // size + 1) * size - 1, hi)
+            rest = np.arange(lo, end + 1, dtype=np.int64)
+            powers = []
+            for p in self.primes_up_to(isqrt(end)).tolist():
+                power, e = p, 1
+                while power <= end:
+                    hit = slice((-lo) % power, None, power)
+                    rest[hit] //= p
+                    powers.append((p, e, hit))
+                    power, e = power * p, e + 1
+            yield lo, rest, powers
+            lo = end + 1
+
     # -- persistence ---------------------------------------------------------
 
     def save(self, path: str | os.PathLike) -> None:

@@ -8,11 +8,11 @@ second, structurally different computation path.
 import contextlib
 from math import isqrt
 
-from matula import Forest, Tree, arborify, bijection, is_squarefree, number_of, print_forest
+from matula import Forest, Tree, algebra, arborify, bijection, is_squarefree, number_of, print_forest
 
-# The module-global memo tables of ``matula.bijection``.  A prime found there
-# skips the rank lookup that checks the cap, so a test that pins a cap error,
-# or wraps functions to see which ones run, starts from empty memos.
+# The module-global memo tables of ``matula.bijection``.  A cached value
+# skips the calls that computed it, so a test that wraps functions to see
+# which ones run starts from empty memos.
 BIJECTION_MEMOS = (
     "_tree_of_prime",
     "_number_of_tree",
@@ -24,15 +24,17 @@ BIJECTION_MEMOS = (
 
 @contextlib.contextmanager
 def fresh_memos():
-    """Run the body with empty bijection memos, then put the old ones back."""
-    saved = {name: getattr(bijection, name) for name in BIJECTION_MEMOS}
-    for name in BIJECTION_MEMOS:
-        setattr(bijection, name, {})
+    """Run the body with empty bijection memos and an empty cuts cache, then
+    put the old ones back."""
+    memos = [(bijection, name) for name in BIJECTION_MEMOS] + [(algebra, "_cuts_cache")]
+    saved = [(module, name, getattr(module, name)) for module, name in memos]
+    for module, name in memos:
+        setattr(module, name, {})
     try:
         yield
     finally:
-        for name, memo in saved.items():
-            setattr(bijection, name, memo)
+        for module, name, memo in saved:
+            setattr(module, name, memo)
 
 
 def table_rows(lo: int, hi: int, table) -> list[str]:

@@ -229,6 +229,51 @@ def test_sieve_matches_sympy_on_small_limits():
         assert t.count == sympy.primepi(x)
 
 
+@pytest.mark.parametrize(
+    "lo, hi, size",
+    [
+        (1, 3000, 1),
+        (1, 3000, 7),
+        (1, 3000, 2**12),
+        (2**16 - 300, 2**16 + 300, 2**16),
+        (2**20 - 50, 2**20 + 50, 2**12),
+        (97, 97, 2**12),
+        (1, 1, 2**16),
+        # p**2 starts a block of size p; below it, p is no base prime
+        (48, 50, 7),
+        (4093**2 - 1, 4093**2 + 1, 4093),
+    ],
+)
+def test_factor_blocks_match_sympy(table, lo, hi, size):
+    # per block: the powers and their rows, the remainders, and the tiling
+    sympy = pytest.importorskip("sympy")
+    base, at = list(sympy.primerange(isqrt(hi) + 1)), lo
+    for start, rest, powers in table.factor_blocks(lo, hi, size):
+        end = start + len(rest) - 1
+        assert start == at and start <= end <= hi
+        assert start == lo or start % size == 0
+        assert end == hi or (end + 1) % size == 0
+        at = end + 1
+        root = isqrt(end)
+        block = np.arange(start, end + 1)
+        assert [(p, e) for p, e, _ in powers] == [
+            (p, e) for p in base if p <= root for e in range(1, 64) if p**e <= end
+        ]  # e runs 1, 2, ... for each p
+        hits = [[] for _ in block]
+        for p, e, hit in powers:
+            rows = np.arange(len(block))[hit]
+            assert rows.tolist() == np.flatnonzero(block % p**e == 0).tolist(), (p, e)
+            for i in rows.tolist():
+                hits[i].append(p)
+        for i, n in enumerate(block.tolist()):
+            r = int(rest[i])
+            assert int(np.prod(hits[i], dtype=object)) * r == n, n
+            assert r == 1 or (r > root and sympy.isprime(r)), n
+            small = sorted(p for p, e in sympy.factorint(n).items() if p <= root for _ in range(e))
+            assert hits[i] == small, n
+    assert at == hi + 1
+
+
 def test_sieve_at_segment_edges_and_along_growth():
     sympy = pytest.importorskip("sympy")
     reference = np.array(primes_below(3 * _SEGMENT + 2), dtype=np.int64)
