@@ -16,6 +16,7 @@ from operator import itemgetter
 import numpy as np
 
 from .algebra import CutPair, _ordered_cuts, cuts, fuse
+from .errors import MatulaError, SieveTooLarge
 from .primes import PrimeTable, default_table
 
 MOBIUS = "mobius"
@@ -90,8 +91,20 @@ def _sign_blocks(lo: int, hi: int, mode: str, table: PrimeTable) -> Iterator[np.
 
 
 def _signs(n: int, mode: str, table: PrimeTable) -> np.ndarray:
-    """Sign of every k in 0..n, indexed by k (0 at k = 0)."""
-    return np.concatenate([np.zeros(1, np.int8), *_sign_blocks(1, n, mode, table)])
+    """Sign of every k in 0..n, indexed by k (0 at k = 0).
+
+    One int8 array is allocated up front and filled block by block; an
+    allocation the machine refuses raises ``SieveTooLarge``.
+    """
+    try:
+        signs = np.zeros(n + 1, dtype=np.int8)
+    except MemoryError:
+        raise SieveTooLarge(n, n + 1) from None
+    lo = 1
+    for block in _sign_blocks(1, n, mode, table):
+        signs[lo : lo + len(block)] = block
+        lo += len(block)
+    return signs
 
 
 # -- partner moves -------------------------------------------------------------
@@ -173,6 +186,143 @@ def partner_candidates(
     return sorted({l for l, _ in partner_moves(k, mode, table)})
 
 
+# -- partner edges in blocks ----------------------------------------------------
+
+_PAIR_BLOCK = 1 << 10  # integers per partner-search block; bounds its edge arrays
+
+
+def _spans(first: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(owner, index): index runs over first[i] .. first[i] + count[i] - 1 for
+    each i in turn, and owner repeats that i alongside."""
+    owner = np.repeat(np.arange(len(count)), count)
+    ends = np.cumsum(count)
+    index = np.arange(int(ends[-1]) if len(ends) else 0) - np.repeat(ends - count - first, count)
+    return owner, index
+
+
+def _distinct_factors(
+    rest: np.ndarray, powers: list
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(row, prime, square) for every distinct prime factor of every row of a
+    ``PrimeTable.factor_blocks`` block, sorted by row and then by prime;
+    square marks the primes whose square divides the row."""
+    rows, primes, squares = [], [], []
+    for p, e, hit in powers:
+        if e == 1:
+            row = np.arange(hit.start, len(rest), hit.step)
+            square = np.zeros(len(row), dtype=bool)
+            rows.append(row)
+            primes.append(np.full(len(row), p, dtype=np.int64))
+            squares.append(square)
+            first = hit.start
+        elif e == 2:  # the multiples of p**2 among the multiples of p above
+            square[(np.arange(hit.start, len(rest), hit.step) - first) // p] = True
+    big = np.flatnonzero(rest > 1)  # the one prime above sqrt(end), the largest
+    rows.append(big)
+    primes.append(rest[big])
+    squares.append(np.zeros(len(big), dtype=bool))
+    row = np.concatenate(rows)
+    order = np.argsort(row, kind="stable")  # the primes came ascending
+    return row[order], np.concatenate(primes)[order], np.concatenate(squares)[order]
+
+
+def _cut_table(
+    primes: np.ndarray, table: PrimeTable
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The cuts of every prime in ``primes`` (all primes up to some x), as
+    (offsets, detached, remaining): those of the m-th prime are the pairs
+    (detached[i], remaining[i]) for i in offsets[m - 1]:offsets[m], in the
+    order of ``_ordered_cuts``.
+
+    The cuts of p_m are the root cuts (d, p_{m/d}) and the relayed cuts
+    (s, p_{(m/d) r}), for each prime d | m and each cut (s, r) of d.  A cut
+    leaves a smaller tree (r < d), so every rank read is below m.  The ranks
+    are filled in ascending blocks that end below both 2 lo and p_lo, so
+    each d | m has its cuts from an earlier block.
+    """
+    offsets = np.zeros(len(primes) + 1, dtype=np.int64)
+    detached = remaining = np.empty(0, dtype=np.int64)
+    lo = 2  # p_1 = 2 is a single vertex: no cuts
+    while lo <= len(primes):
+        hi = min(2 * lo - 1, int(primes[lo - 1]) - 1, len(primes))
+        _, rest, powers = next(table.factor_blocks(lo, hi, hi + 1))
+        row, d, _ = _distinct_factors(rest, powers)
+        m = row + lo
+        rank = np.searchsorted(primes, d) + 1
+        owner, i = _spans(offsets[rank - 1], offsets[rank] - offsets[rank - 1])
+        who = np.concatenate([m, m[owner]])
+        s = np.concatenate([d, detached[i]])
+        r = table.nth_primes(np.concatenate([m // d, (m // d)[owner] * remaining[i]]))
+        order = np.lexsort((r, s, who))
+        who, s, r = who[order], s[order], r[order]
+        new = np.ones(len(who), dtype=bool)
+        new[1:] = (who[1:] != who[:-1]) | (s[1:] != s[:-1]) | (r[1:] != r[:-1])
+        counts = np.bincount(who[new] - lo, minlength=hi - lo + 1)
+        offsets[lo : hi + 1] = offsets[lo - 1] + np.cumsum(counts)
+        detached = np.concatenate([detached, s[new]])
+        remaining = np.concatenate([remaining, r[new]])
+        lo = hi + 1
+    return offsets, detached, remaining
+
+
+def _block_edges(
+    lo: int,
+    hi: int,
+    policy: str,
+    live: np.ndarray,
+    primes: np.ndarray,
+    cut_table: tuple[np.ndarray, np.ndarray, np.ndarray],
+    table: PrimeTable,
+) -> list[list[int]]:
+    """Columns k, l, x, y, z of every edge (k, l) of ``_moves`` with lo <= k <= hi
+    and both ends marked in ``live``, in the order a greedy ``policy`` tries them.
+
+    The order is k descending, then the policy's key on l, then ``_moves``'
+    generation order.  A cut of factor x into y * z has z >= 2; a fusion of
+    x and y has z = 0.  Raises what ``nth_primes`` raises on a fusion's rank.
+    """
+    offsets, detached, remaining = cut_table
+    _, rest, powers = next(table.factor_blocks(lo, hi, _PAIR_BLOCK))
+    row, q, square = _distinct_factors(rest, powers)
+    alive = live[row + lo] != 0
+    k, q, square = row[alive] + lo, q[alive], square[alive]
+    rank = np.searchsorted(primes, q) + 1
+    # cuts: the factor q becomes s * r, ascending by q, then by (s, r)
+    owner, i = _spans(offsets[rank - 1], offsets[rank] - offsets[rank - 1])
+    s, r = detached[i], remaining[i]
+    shrinks = s * r < q[owner]  # exactly when l < k
+    c, s, r = owner[shrinks], s[shrinks], r[shrinks]
+    # fusions: factors a <= b of one k (a == b on a square) merge into the
+    # prime of rank rank_a * rank_b, ordered by a and then b
+    firsts = [np.flatnonzero(square)]
+    seconds = [firsts[0]]
+    gap = 1
+    while len(same := np.flatnonzero(k[gap:] == k[: len(k) - gap])):
+        firsts.append(same)
+        seconds.append(same + gap)
+        gap += 1
+    a, b = np.concatenate(firsts), np.concatenate(seconds)
+    order = np.lexsort((b, a))
+    a, b = a[order], b[order]
+    fused = table.nth_primes(rank[a] * rank[b])
+    product = q[a] * q[b]
+    shrinks = fused < product
+    a, b, fused, product = a[shrinks], b[shrinks], fused[shrinks], product[shrinks]
+
+    edge_k = np.concatenate([k[c], k[a]])
+    edge_l = np.concatenate([k[c] // q[c] * (s * r), k[a] // product * fused])
+    columns = [edge_k, edge_l, q[np.concatenate([c, a])], np.concatenate([s, q[b]])]
+    columns.append(np.concatenate([r, np.zeros(len(a), dtype=np.int64)]))
+    keep = live[edge_l] != 0
+    columns = [col[keep] for col in columns]
+    edge_k, edge_l = columns[:2]
+    if policy == "first":
+        order = np.lexsort((-edge_k,))
+    else:
+        order = np.lexsort((edge_l if policy == "smallest" else -edge_l, -edge_k))
+    return [col[order].tolist() for col in columns]
+
+
 # -- the pairing engine ---------------------------------------------------------
 
 
@@ -220,10 +370,14 @@ def pair_range(
 
     In mobius mode only squarefree integers take part (square-bearing ones
     contribute 0 and stay out of the report); in liouville mode everything
-    does.  Candidates are ``partner_moves``' moves in the same order, but
-    filtered by the sign sieve of 1..n instead of one factorization each, so
-    every k is factorized once; only the chosen move becomes a move-log dict.
-    A number whose candidates are all taken becomes a singleton; no
+    does.  Candidates are ``partner_moves``' moves, tried in the policy's
+    order with ties in generation order, but filtered by the sign sieve of
+    1..n instead of one factorization each.  They come as arrays, one block
+    of k at a time (``_block_edges``, from ``PrimeTable.factor_blocks`` and
+    one table of the cuts of every prime <= n); only the chosen move becomes
+    a move-log dict.  A block that raises a ``MatulaError`` is redone with
+    every later one by the per-k search, which raises what it raises.  A
+    number whose candidates are all taken becomes a singleton; no
     backtracking is attempted.  Deterministic for fixed (n, mode, policy).
     """
     _check_mode(mode)
@@ -236,21 +390,38 @@ def pair_range(
     free = bytearray((signs != 0).tobytes())  # 1 while k has a sign and no partner
     pairs: list[tuple[int, int]] = []
     move_log: dict[int, dict] = {}
-    for k in range(n, 1, -1):
+
+    def take(k: int, l: int, move: tuple) -> None:
+        free[k] = free[l] = 0
+        pairs.append((k, l))
+        move_log[k] = _move_dict(move)
+
+    top = n  # every k above top is settled
+    try:
+        primes = table.primes_up_to(n)
+        cut_table = _cut_table(primes, table)
+        live = np.frombuffer(free, dtype=np.uint8)  # a view: sees every take
+        while top >= 2:
+            lo = max(top // _PAIR_BLOCK * _PAIR_BLOCK, 2)
+            edges = _block_edges(lo, top, policy, live, primes, cut_table, table)
+            for k, l, x, y, z in zip(*edges):  # the first free partner wins
+                if free[k] and free[l]:
+                    take(k, l, ("cut", x, y, z) if z else ("fusion", x, y))
+            top = lo - 1
+    except MatulaError:
+        pass
+    for k in range(top, 1, -1):
         if not free[k]:
             continue
         moves = _free_moves(k, free, table)
         if not moves:
             continue
         if policy == "largest":
-            l, mv = max(moves, key=itemgetter(0))
+            take(k, *max(moves, key=itemgetter(0)))
         elif policy == "smallest":
-            l, mv = min(moves, key=itemgetter(0))
+            take(k, *min(moves, key=itemgetter(0)))
         else:  # first in generation order
-            l, mv = moves[0]
-        free[k] = free[l] = 0
-        pairs.append((k, l))
-        move_log[k] = _move_dict(mv)
+            take(k, *moves[0])
     return _report(n, mode, policy, pairs, signs, move_log)
 
 

@@ -271,6 +271,26 @@ def test_pair_json_bytes_of_other_policies_are_pinned(capsys, mode, policy, dige
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# recorded before the partner search read its edges from block arrays
+@pytest.mark.parametrize(
+    "mode, policy, digest",
+    [
+        ("liouville", "largest", "b1d82a12d9528e468f736db4b5252e2a81b9c10d13e5bfc0b5d82f83fa0d48e3"),
+        ("liouville", "smallest", "a2a0a79770425177707678450557e49b6c71f99041dfe966f3025692af4fc227"),
+        ("liouville", "first", "9520684e8bf92477978610a3419eab340994fd0cf46cae15c29528217096ee84"),
+        ("mobius", "largest", "740dd4491a6ca13cbb3d2d43ce065c7a3b94d46a13c3e6c14997d934633280ca"),
+        ("mobius", "smallest", "8e01c054ac4c779d25b46e2f4e7e181fef9b291d9375859398510db1f2c160f3"),
+        ("mobius", "first", "d045a01d00be807fb43ddee4d7b89abe1d2935086e00c8919bfa780fc644a01a"),
+    ],
+)
+def test_pair_json_bytes_at_100000_are_pinned(capsys, mode, policy, digest):
+    code, out, _ = run(
+        capsys, "pair", "100000", "--mode", mode, "--policy", policy, "--format", "json"
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("leaves", [40, 15000])
 def test_number_of_past_the_cap_exits_4_before_sieving(capsys, leaves):
     # the root's prime has index 2**leaves, far past the 2**32 cap
@@ -426,6 +446,21 @@ def test_a_sieve_the_machine_refuses_exits_4(capsys):
         "error: sieving primes up to 404479826553924744 needs 81906338965784384 "
         "bytes, more than this machine could allocate\n"
     )
+
+
+@pytest.mark.parametrize("command", ["pair", "validate-pairs"])
+def test_a_sign_sieve_the_machine_refuses_exits_4(capsys, command):
+    # one int8 sign per integer up to 10**15: past any 64-bit address space
+    big = "1000000000000000"
+    argv = ["pair", big] if command == "pair" else ["validate-pairs", FIXTURE, "--max", big]
+    started = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (4, "")
+    assert err == (
+        f"error: sieving primes up to {big} needs {int(big) + 1} bytes, "
+        "more than this machine could allocate\n"
+    )
+    assert time.perf_counter() - started < 5
 
 
 # Spawns the command from a small process, as perfbench/launch.py does: on

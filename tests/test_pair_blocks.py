@@ -1,0 +1,99 @@
+"""The block partner search of ``pair_range`` against the per-k search.
+
+``pair_range`` reads its partner edges from arrays, one block of k at a time,
+and goes back to the per-k loop over ``_moves`` from the first block that
+raises.  These tests check the cut table against ``_ordered_cuts``, the
+whole pairing against the per-k loop forced from k = n, and the hand-over
+from a failing block.
+"""
+
+import contextlib
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from matula import PrimeTable, pair_range
+from matula import pairing
+from matula.algebra import _ordered_cuts
+from matula.errors import CapExceeded
+
+MODES = ("liouville", "mobius")
+POLICIES = ("largest", "smallest", "first")
+
+
+def _refuse(*args):
+    raise CapExceeded(0, 0)
+
+
+@contextlib.contextmanager
+def _per_k_only():
+    """Send every k of ``pair_range`` through the per-k search."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pairing, "_cut_table", _refuse)
+        yield
+
+
+def _outcome(n, mode, policy, cap):
+    """The report JSON of pair_range, or the type and message it raised."""
+    try:
+        return pair_range(n, mode, policy, PrimeTable(cap=cap)).to_json()
+    except Exception as exc:  # compared, not hidden: both sides must agree
+        return type(exc), str(exc)
+
+
+def test_cut_table_matches_ordered_cuts_below_100000():
+    table = PrimeTable()
+    primes = table.primes_up_to(100_000)
+    offsets, detached, remaining = pairing._cut_table(primes, table)
+    assert len(offsets) == len(primes) + 1 and offsets[0] == offsets[1] == 0
+    for m, q in enumerate(primes.tolist(), start=1):
+        lo, hi = offsets[m - 1], offsets[m]
+        got = list(zip(detached[lo:hi].tolist(), remaining[lo:hi].tolist()))
+        assert got == [tuple(c) for c in _ordered_cuts(q, table)], q
+
+
+# block edges sit at multiples of the block size; draw next to them often
+_N = st.one_of(
+    st.integers(1, 3000),
+    st.builds(lambda j, d: j * 1024 + d, st.integers(1, 2), st.integers(-1, 1)),
+)
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("mode", MODES)
+@settings(max_examples=40, deadline=None)
+@given(n=_N, cap=st.integers(1, 5000))
+def test_pair_range_matches_the_per_k_search(mode, policy, n, cap):
+    blocks = _outcome(n, mode, policy, cap)
+    with _per_k_only():
+        per_k = _outcome(n, mode, policy, cap)
+    assert blocks == per_k
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("mode", MODES)
+def test_a_failing_block_is_redone_with_every_later_one(mode, policy):
+    # blocks of 2500: [2048, 2500], [1024, 2047], [2, 1023]; the middle one fails
+    n, failing = 2500, 1024
+    table = PrimeTable()
+    expected = pair_range(n, mode, policy, table).to_json()
+    edges = pairing._block_edges
+    factorized = set()
+    plain = table.factorize
+
+    def fail_once(lo, *args):
+        if lo == failing:
+            raise CapExceeded(lo, 0)
+        return edges(lo, *args)
+
+    def counting(k):
+        factorized.add(k)
+        return plain(k)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pairing, "_block_edges", fail_once)
+        mp.setattr(table, "factorize", counting)
+        assert pair_range(n, mode, policy, table).to_json() == expected
+    # the per-k search starts at the top of the failing block, not above it
+    assert failing < max(factorized) <= 2 * failing - 1

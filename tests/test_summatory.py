@@ -194,8 +194,29 @@ def test_sieve_filter_matches_factorization_filter(table):
 
 
 def test_pair_range_factorizes_each_k_once_without_squarefree_tests(monkeypatch):
+    # uncapped, the block search reads factors from factor_blocks and cuts
+    # from its own table: no factorize, square-free test or cut list per k
+    def forbidden(name):
+        def call(*args):
+            raise AssertionError(f"{name}{args} called")
+
+        return call
+
     t = PrimeTable()
-    for q in t.primes_up_to(3_000).tolist():
+    monkeypatch.setattr(t, "factorize", forbidden("factorize"))
+    monkeypatch.setattr(pairing, "is_squarefree", forbidden("is_squarefree"))
+    monkeypatch.setattr(pairing, "_ordered_cuts", forbidden("_ordered_cuts"))
+    uncapped = {}
+    for mode in ("mobius", "liouville"):
+        for policy in ("largest", "smallest", "first"):
+            uncapped[mode, policy] = pair_range(3_000, mode, policy, t)
+            assert uncapped[mode, policy].pairs
+    monkeypatch.undo()
+
+    # a cap below n sends every k through the per-k search (the block search
+    # needs the primes up to n), which still factorizes each k at most once
+    t = PrimeTable(cap=2_999)
+    for q in t.primes_up_to(2_999).tolist():
         cuts(q, t)  # cuts factorize prime ranks; fill their cache first
     calls = Counter()
     plain = t.factorize
@@ -204,15 +225,12 @@ def test_pair_range_factorizes_each_k_once_without_squarefree_tests(monkeypatch)
         calls[k] += 1
         return plain(k)
 
-    def no_squarefree(*args):
-        raise AssertionError(f"is_squarefree{args} called")
-
     monkeypatch.setattr(t, "factorize", counting_factorize)
-    monkeypatch.setattr(pairing, "is_squarefree", no_squarefree)
+    monkeypatch.setattr(pairing, "is_squarefree", forbidden("is_squarefree"))
     for mode in ("mobius", "liouville"):
         calls.clear()
         report = pair_range(3_000, mode, "largest", t)
-        assert report.pairs
+        assert report == uncapped[mode, "largest"], mode
         assert set(calls) <= set(range(2, 3_001)), mode
         assert max(calls.values()) == 1, mode
 
