@@ -11,13 +11,15 @@ from __future__ import annotations
 import json
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import lru_cache, partial
+from itertools import chain
 from operator import itemgetter
 
 import numpy as np
 
 from .algebra import CutPair, _ordered_cuts, cuts, fuse
 from .errors import MatulaError, SieveTooLarge
-from .primes import PrimeTable, default_table
+from .primes import _AUTO_FACTOR_SIEVE, PrimeTable, default_table
 
 MOBIUS = "mobius"
 LIOUVILLE = "liouville"
@@ -90,8 +92,9 @@ def _sign_blocks(lo: int, hi: int, mode: str, table: PrimeTable) -> Iterator[np.
         yield signs
 
 
+@lru_cache(maxsize=1)  # validating a report reuses the sieve it was built from
 def _signs(n: int, mode: str, table: PrimeTable) -> np.ndarray:
-    """Sign of every k in 0..n, indexed by k (0 at k = 0).
+    """Sign of every k in 0..n, indexed by k (0 at k = 0), read-only.
 
     One int8 array is allocated up front and filled block by block; an
     allocation the machine refuses raises ``SieveTooLarge``.
@@ -104,6 +107,7 @@ def _signs(n: int, mode: str, table: PrimeTable) -> np.ndarray:
     for block in _sign_blocks(1, n, mode, table):
         signs[lo : lo + len(block)] = block
         lo += len(block)
+    signs.flags.writeable = False
     return signs
 
 
@@ -346,18 +350,37 @@ class PairingReport:
     move_log: dict[int, dict] = field(default_factory=dict)
 
     def to_json(self, with_moves: bool = True) -> str:
-        doc = {
-            "N": self.n,
-            "mode": self.mode,
-            "policy": self.policy,
-            "pairs": [list(p) for p in self.pairs],
-            "singletons": self.singletons,
-            "bound": self.bound,
-            "exact": self.exact,
-        }
-        if with_moves and self.move_log:
-            doc["move_log"] = {str(k): mv for k, mv in self.move_log.items()}
-        return json.dumps(doc, sort_keys=True, separators=(", ", ": "))
+        """``json.dumps(doc, sort_keys=True, separators=(", ", ": "))`` of the
+        report, with the entries of an int-keyed move log written directly."""
+        head = _dumps({"N": self.n, "bound": self.bound, "exact": self.exact, "mode": self.mode})
+        pairs = self.pairs  # json writes a tuple as list(p) would be written
+        if type(pairs) is not list or not all(isinstance(p, (list, tuple)) for p in pairs):
+            pairs = [list(p) for p in pairs]
+        tail = _dumps({"pairs": pairs, "policy": self.policy, "singletons": self.singletons})
+        moves = self.move_log if with_moves else {}
+        if not moves:
+            return f"{head[:-1]}, {tail[1:]}"
+        if all(type(k) is int for k in moves):  # keys in string order: "10" < "2"
+            log = ", ".join(f'"{k}": {_move_json(moves[k])}' for k in sorted(moves, key=str))
+        else:
+            log = _dumps({str(k): mv for k, mv in moves.items()})[1:-1]
+        return f'{head[:-1]}, "move_log": {{{log}}}, {tail[1:]}'
+
+
+_dumps = partial(json.dumps, sort_keys=True, separators=(", ", ": "))  # the report's JSON form
+
+
+def _move_json(mv: dict) -> str:
+    """``_dumps(mv)`` of a move-log entry, by hand for the two shapes ``_move_dict`` makes."""
+    if type(mv) is dict and mv.get("kind") == "cut" and len(mv) == 4:
+        q, s, r = mv.get("factor"), mv.get("detached"), mv.get("remaining")
+        if type(q) is type(s) is type(r) is int:
+            return f'{{"detached": {s}, "factor": {q}, "kind": "cut", "remaining": {r}}}'
+    elif type(mv) is dict and mv.get("kind") == "fusion" and len(mv) == 3:
+        q, r = mv.get("left"), mv.get("right")
+        if type(q) is type(r) is int:
+            return f'{{"kind": "fusion", "left": {q}, "right": {r}}}'
+    return _dumps(mv)
 
 
 def pair_range(
@@ -450,44 +473,70 @@ def _report(
 def validation_errors(
     report: PairingReport, table: PrimeTable | None = None
 ) -> list[str]:
-    """Re-check every report invariant; empty list means the report is valid."""
+    """Re-check every report invariant; empty list means the report is valid.
+
+    Array passes over the members (those outside 1..n stay Python ints); each
+    pair's signs come from ``PrimeTable.omega_parity``, not the block sieve.
+    """
     table = table or default_table()
-    errs: list[str] = []
     if report.mode not in MODES:
         return [f"unknown mode {report.mode!r}"]
     n, mode = report.n, report.mode
-
     signs = _signs(n, mode, table)
-    seen: set[int] = set()
-    for k, l in report.pairs:
-        for m in (k, l):
-            if not (1 <= m <= n):
+    flat = [m for k, l in report.pairs for m in (k, l)]
+    paired = len(flat)
+    flat.extend(report.singletons)
+    try:
+        values = np.array(flat, dtype=np.int64)
+    except OverflowError:  # a member past int64 is outside 1..n
+        values = np.array([m if 0 < m <= n else 0 for m in flat], dtype=np.int64)
+    inside = (values >= 1) & (values <= n)
+    values[~inside] = 0  # 0 has no sign and is never seen
+    seen = np.zeros(n + 1, dtype=bool)
+    seen[values] = True
+    seen[0] = False
+    again = np.zeros(len(values), dtype=bool)  # an inside value met before
+    if np.count_nonzero(seen) < np.count_nonzero(inside):
+        again[:] = inside
+        again[np.unique(values, return_index=True)[1]] = False
+    flagged = ~inside | again
+    both = np.repeat(inside[:paired:2] & inside[1:paired:2], 2)
+    big = both & (values[:paired] > _AUTO_FACTOR_SIEVE)
+    odd, square = table.omega_parity(np.where(both & ~big, values[:paired], 1))
+    sign = np.where(square & (mode == MOBIUS), 0, 1 - 2 * odd.astype(np.int8))
+    for j in np.flatnonzero(big).tolist():  # past the sieve: by factorization
+        sign[j] = sign_of(flat[j], mode, table)
+    suspect = flagged[:paired].reshape(-1, 2).any(axis=1) | (sign[::2] + sign[1::2] != 0)
+    suspect |= values[1:paired:2] >= values[:paired:2]
+
+    errs: list[str] = []
+    for i in np.flatnonzero(suspect).tolist():
+        k, l = flat[2 * i], flat[2 * i + 1]
+        for j, m in ((2 * i, k), (2 * i + 1, l)):
+            if not inside[j]:
                 errs.append(f"pair member {m} outside 1..{n}")
-            elif m in seen:
+            elif again[j]:
                 errs.append(f"{m} appears more than once")
-            seen.add(m)
         if not l < k:
             errs.append(f"pair ({k}, {l}) is not descending")
-        # signs recomputed by factorization, independently of the sieve
-        inside = 1 <= min(k, l) and max(k, l) <= n
-        if inside and sign_of(k, mode, table) + sign_of(l, mode, table) != 0:
+        if both[2 * i] and sign[2 * i] + sign[2 * i + 1] != 0:
             errs.append(f"pair ({k}, {l}) signs do not cancel")
-    for m in report.singletons:
-        if not (1 <= m <= n):
-            errs.append(f"singleton {m} outside 1..{n}")
-        elif m in seen:
-            errs.append(f"{m} appears both paired and as a singleton")
-        seen.add(m)
+    for j in (np.flatnonzero(flagged[paired:]) + paired).tolist():
+        if not inside[j]:
+            errs.append(f"singleton {flat[j]} outside 1..{n}")
+        else:
+            errs.append(f"{flat[j]} appears both paired and as a singleton")
 
-    universe = set(np.flatnonzero(signs).tolist())
-    missing = universe - seen
-    alien = seen - universe
+    universe = signs != 0
+    missing = np.flatnonzero(universe & ~seen)[:10].tolist()
+    alien = np.flatnonzero(seen & ~universe)[:10].tolist()
+    alien = sorted({*alien, *(flat[j] for j in np.flatnonzero(~inside).tolist())})
     if missing:
-        errs.append(f"universe members unaccounted for: {sorted(missing)[:10]}")
+        errs.append(f"universe members unaccounted for: {missing}")
     if alien:
-        errs.append(f"members outside the pairable universe: {sorted(alien)[:10]}")
+        errs.append(f"members outside the pairable universe: {alien[:10]}")
 
-    bound = abs(int(signs[[m for m in report.singletons if 1 <= m <= n]].sum()))
+    bound = abs(int(signs[values[paired:]].sum()))
     if report.bound != bound:
         errs.append(f"bound {report.bound} != recomputed {bound}")
     exact = int(signs.sum())
@@ -534,17 +583,15 @@ def validate_report(report: PairingReport, table: PrimeTable | None = None) -> b
 
 def load_pairs(text: str) -> list[tuple[int, int]]:
     """Parse a hand-written pair list: two integers per line, '#' comments."""
-    pairs: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"line {lineno}: expected two integers, got {raw!r}")
-        k, l = int(parts[0]), int(parts[1])
-        pairs.append((k, l))
-    return pairs
+    lines = text.splitlines()
+    rows = list(map(str.split, [line.split("#", 1)[0] for line in lines] if "#" in text else lines))
+    bad = len(rows)
+    if not set(map(len, rows)) <= {0, 2}:
+        bad = next(i for i, parts in enumerate(rows) if len(parts) not in (0, 2))
+    numbers = list(map(int, chain.from_iterable(rows[:bad])))  # raises as int() does
+    if bad < len(rows):
+        raise ValueError(f"line {bad + 1}: expected two integers, got {lines[bad]!r}")
+    return list(zip(numbers[::2], numbers[1::2]))
 
 
 def report_from_pairs(

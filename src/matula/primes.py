@@ -315,6 +315,26 @@ class PrimeTable:
             return out
         return self._factorize_trial(k)
 
+    def omega_parity(self, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(odd, square) for an array of k >= 1: whether k has an odd number
+        of prime factors counted with multiplicity, and whether it has a
+        square factor above 1.
+
+        Walks the smallest-factor sieve (grown to the largest k), one prime
+        factor of every entry per step; a k's primes come ascending, so a
+        square is a prime met twice in a row.
+        """
+        self.ensure_factor_sieve(int(ks.max(initial=1)))
+        spf, rest = self._spf, ks.astype(np.int64)
+        odd, square = np.zeros((2, len(ks)), dtype=bool)
+        last = np.zeros(len(ks), dtype=spf.dtype)
+        while (live := rest > 1).any():
+            p = spf[rest]
+            square |= live & (p == last)
+            odd ^= live
+            last, rest = p, rest // p
+        return odd, square
+
     def _factorize_trial(self, k: int) -> list[tuple[int, int]]:
         out: list[tuple[int, int]] = []
         for p in map(int, self.primes_up_to(isqrt(k))):

@@ -8,7 +8,10 @@ second, structurally different computation path.
 import contextlib
 from math import isqrt
 
+import numpy as np
+
 from matula import Forest, Tree, algebra, arborify, bijection, is_squarefree, number_of, print_forest
+from matula.pairing import MODES, PairingReport, _replay_move, _signs, default_table, sign_of
 
 # The module-global memo tables of ``matula.bijection``.  A cached value
 # skips the calls that computed it, so a test that wraps functions to see
@@ -124,3 +127,61 @@ def primes_below(n: int) -> list[int]:
             for m in range(p * p, n + 1, p):
                 flags[m] = False
     return [i for i, ok in enumerate(flags) if ok]
+
+
+def validation_errors_reference(report: PairingReport, table=None) -> list[str]:
+    """``pairing.validation_errors`` as a per-member loop over Python sets,
+    with each pair's signs recomputed by ``sign_of``; the array passes of the
+    package must return the same messages in the same order."""
+    table = table or default_table()
+    errs: list[str] = []
+    if report.mode not in MODES:
+        return [f"unknown mode {report.mode!r}"]
+    n, mode = report.n, report.mode
+
+    signs = _signs(n, mode, table)
+    seen: set[int] = set()
+    for k, l in report.pairs:
+        for m in (k, l):
+            if not (1 <= m <= n):
+                errs.append(f"pair member {m} outside 1..{n}")
+            elif m in seen:
+                errs.append(f"{m} appears more than once")
+            seen.add(m)
+        if not l < k:
+            errs.append(f"pair ({k}, {l}) is not descending")
+        # signs recomputed by factorization, independently of the sieve
+        inside = 1 <= min(k, l) and max(k, l) <= n
+        if inside and sign_of(k, mode, table) + sign_of(l, mode, table) != 0:
+            errs.append(f"pair ({k}, {l}) signs do not cancel")
+    for m in report.singletons:
+        if not (1 <= m <= n):
+            errs.append(f"singleton {m} outside 1..{n}")
+        elif m in seen:
+            errs.append(f"{m} appears both paired and as a singleton")
+        seen.add(m)
+
+    universe = set(np.flatnonzero(signs).tolist())
+    missing = universe - seen
+    alien = seen - universe
+    if missing:
+        errs.append(f"universe members unaccounted for: {sorted(missing)[:10]}")
+    if alien:
+        errs.append(f"members outside the pairable universe: {sorted(alien)[:10]}")
+
+    bound = abs(int(signs[[m for m in report.singletons if 1 <= m <= n]].sum()))
+    if report.bound != bound:
+        errs.append(f"bound {report.bound} != recomputed {bound}")
+    exact = int(signs.sum())
+    if report.exact != exact:
+        errs.append(f"exact {report.exact} != recomputed {exact}")
+    if abs(exact) > bound:
+        errs.append(f"|summatory| {abs(exact)} exceeds bound {bound}")
+
+    for k, l in report.pairs:
+        mv = report.move_log.get(k)
+        if mv is None:
+            continue
+        if _replay_move(k, mv, table) != l:
+            errs.append(f"move log for {k} does not reach {l}: {mv}")
+    return errs

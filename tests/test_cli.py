@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from matula import pair_range
 from matula.cli import _SCANS, _build_parser, main
 from oracles import BIJECTION_MEMOS
 
@@ -291,6 +292,20 @@ def test_pair_json_bytes_at_100000_are_pinned(capsys, mode, policy, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# recorded before the validator and the JSON writer worked on arrays and text
+def test_validate_pairs_json_bytes_are_pinned(capsys, tmp_path):
+    code, out, _ = run(capsys, "validate-pairs", FIXTURE, "--max", "96", "--format", "json")
+    assert code == 0
+    digest = "3b5c255d21891bacba82d52f9efb923fbd09fdce25bcc841978060ef76f3e209"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    fixture = tmp_path / "pairs.txt"
+    fixture.write_text("".join(f"{k} {l}\n" for k, l in pair_range(100000).pairs))
+    code, out, _ = run(capsys, "validate-pairs", str(fixture), "--max", "100000", "--format", "json")
+    assert code == 0
+    digest = "a9090f3b4aecb15b5aeed2ae89617134276c22bb7245e36600d8a52e06fc2e68"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("leaves", [40, 15000])
 def test_number_of_past_the_cap_exits_4_before_sieving(capsys, leaves):
     # the root's prime has index 2**leaves, far past the 2**32 cap
@@ -468,21 +483,39 @@ def test_a_sign_sieve_the_machine_refuses_exits_4(capsys, command):
 # process is large.
 _SPAWN = """
 import os, subprocess, sys
-child = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
-_, status, usage = os.wait4(child.pid, 0)
+with open(sys.argv[1], "wb") as out:
+    child = subprocess.Popen(sys.argv[2:], stdout=out)
+    _, status, usage = os.wait4(child.pid, 0)
 print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 """
 
 
-def test_degree_list_23_peaks_under_100_mb():
+def _spawn(*command: str, out: str = os.devnull) -> tuple[int, int]:
+    """Exit code and peak RSS in kB of ``python -m matula.cli *command``,
+    its stdout written to ``out``."""
     src = str(Path(__file__).parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    argv = [sys.executable, "-c", _SPAWN, sys.executable, "-m", "matula.cli", "degree-list", "23"]
+    argv = [sys.executable, "-c", _SPAWN, out, sys.executable, "-m", "matula.cli", *command]
     done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120, check=True)
     code, maxrss_kb = map(int, done.stdout.split())
+    return code, maxrss_kb
+
+
+def test_degree_list_23_peaks_under_100_mb():
+    code, maxrss_kb = _spawn("degree-list", "23")
     assert code == 0
     assert maxrss_kb < 100 * 1024  # 668 MB while the table stored every prime
+
+
+def test_validate_pairs_at_ten_million_stays_bounded(tmp_path):
+    out = tmp_path / "out.txt"
+    code, maxrss_kb = _spawn("validate-pairs", FIXTURE, "--max", "10000000", out=str(out))
+    assert code == 0
+    assert out.read_text() == "valid: 48 pairs, 9999904 singletons, bound=842, exact=-842\n"
+    # 1484 MB while the validator kept Python sets of every member; about
+    # 400 MB of what is left is the report's list of 9,999,904 singletons
+    assert maxrss_kb < 800 * 1024
 
 
 def test_usage_errors_exit_2(capsys):
@@ -577,6 +610,8 @@ RUNS = {
     "validate-pairs": [
         "validate-pairs {fixture} --max 96",
         "validate-pairs {mobius} --max 3 --mode mobius",
+        # past the smallest-factor sieve the validator re-checks a sign by factorize
+        "validate-pairs {past} --max 4194310 --mode mobius",
     ],
 }
 
@@ -637,9 +672,11 @@ def test_every_subcommand_is_recorded():
 def test_subcommand_reaches_what_it_lists(monkeypatch, tmp_path, command):
     mobius = tmp_path / "mobius.txt"
     mobius.write_text("2 1\n")
+    past = tmp_path / "past.txt"
+    past.write_text("4194310 3\n")  # 2 * 5 * 59 * 7109, above 2**22
     called = _record_calls(monkeypatch)
     for line in RUNS[command]:
-        argv = [word.format(fixture=FIXTURE, mobius=mobius) for word in line.split()]
+        argv = [word.format(fixture=FIXTURE, mobius=mobius, past=past) for word in line.split()]
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(argv) == 0, line
     assert sorted(called) == REACHES[command]

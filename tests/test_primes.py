@@ -17,7 +17,7 @@ from matula.primes import (
     _pi_bound,
     _rank_ceiling,
 )
-from oracles import primes_below, trial_factor_count
+from oracles import primes_below, trial_factor_count, trial_squarefree
 
 
 def test_first_primes(table):
@@ -351,6 +351,13 @@ def test_the_factor_sieve_is_not_bounded_by_the_cap():
     t = PrimeTable(cap=1000)
     t.ensure_factor_sieve(5000)
     assert len(t._spf) > 5000 and t.factorize(4999) == [(4999, 1)]
+
+
+def test_omega_parity_matches_trial_division():
+    ks = np.array([*range(1, 5001), 2**20 + 7, 3**12, 2 * 3 * 5 * 7 * 11 * 13 * 17])
+    odd, square = PrimeTable().omega_parity(ks[::-1])
+    assert odd[::-1].tolist() == [trial_factor_count(k) % 2 == 1 for k in ks.tolist()]
+    assert square[::-1].tolist() == [not trial_squarefree(k) for k in ks.tolist()]
 
 
 # -- nth_primes: selected ranks without storing the primes between them ------

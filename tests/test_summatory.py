@@ -26,7 +26,7 @@ from matula import (
     validation_errors,
 )
 from matula import pairing
-from oracles import forest_partners, liouville_brute, mobius_brute
+from oracles import forest_partners, liouville_brute, mobius_brute, validation_errors_reference
 
 FIXTURE = (Path(__file__).parent / "data" / "pairs_liouville_96.txt").read_text()
 
@@ -404,6 +404,13 @@ def test_every_validation_check_can_fail(table, mode, mutation):
     assert validation_errors(report, table) == []
     mutant, message = VALIDATION_MUTATIONS[mutation](report)
     assert message in validation_errors(mutant, table)
+
+
+@pytest.mark.parametrize("mode", ["liouville", "mobius"])
+@pytest.mark.parametrize("mutation", list(VALIDATION_MUTATIONS))
+def test_every_mutant_gets_the_per_member_loops_messages(table, mode, mutation):
+    mutant, _ = VALIDATION_MUTATIONS[mutation](pair_range(300, mode, "largest", table))
+    assert validation_errors(mutant, table) == validation_errors_reference(mutant, table)
 
 
 def test_fixture_pairing_of_96_is_valid(table):
