@@ -10,10 +10,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import TYPE_CHECKING
 
-from . import algebra, bijection, forests, pairing, scans
+from .constants import DEFAULT_CAP, LIOUVILLE, MODES, POLICIES
 from .errors import CapExceeded, MatulaError, NotPrime, ParseError, SieveTooLarge
-from .primes import DEFAULT_CAP, PrimeTable
+
+if TYPE_CHECKING:
+    from .primes import PrimeTable
+    from .scans import ScanReport
+
+# Each command imports the layers it runs when it runs, so ``--help`` and a
+# usage error load no numpy and, say, ``pair`` never compiles the tree core.
 
 # scan kind -> (function in ``scans``, its bound options in argument order).
 # Each option falls back to --max.  The function is looked up on the module
@@ -103,23 +110,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("summatory", help="Mertens/Liouville partial sum")
     p.add_argument("n", type=int)
-    p.add_argument("--mode", choices=pairing.MODES, default=pairing.LIOUVILLE)
+    p.add_argument("--mode", choices=MODES, default=LIOUVILLE)
 
     p = sub.add_parser("partners", help="one-move partners of an integer")
     p.add_argument("k", type=int)
-    p.add_argument("--mode", choices=pairing.MODES, default=pairing.LIOUVILLE)
+    p.add_argument("--mode", choices=MODES, default=LIOUVILLE)
     fmt_arg(p)
 
     p = sub.add_parser("pair", help="greedy opposite-sign pairing of 1..N")
     p.add_argument("n", type=int)
-    p.add_argument("--mode", choices=pairing.MODES, default=pairing.LIOUVILLE)
-    p.add_argument("--policy", choices=pairing.POLICIES, default="largest")
+    p.add_argument("--mode", choices=MODES, default=LIOUVILLE)
+    p.add_argument("--policy", choices=POLICIES, default="largest")
     fmt_arg(p)
 
     p = sub.add_parser("validate-pairs", help="check a hand-written pair list")
     p.add_argument("file")
     p.add_argument("--max", type=int, required=True, metavar="N")
-    p.add_argument("--mode", choices=pairing.MODES, default=pairing.LIOUVILLE)
+    p.add_argument("--mode", choices=MODES, default=LIOUVILLE)
     fmt_arg(p)
 
     return parser
@@ -130,10 +137,14 @@ def _emit(doc: dict) -> None:
 
 
 def _run(args: argparse.Namespace) -> int:
+    from .primes import PrimeTable
+
     table = PrimeTable(cap=args.cap)
     cmd = args.command
 
     if cmd == "arborify":
+        from . import bijection, forests
+
         forest = bijection.arborify(args.n, table)
         if args.format == "dot":
             print(forests.render(forest, "dot"))
@@ -143,6 +154,8 @@ def _run(args: argparse.Namespace) -> int:
             print(forests.print_forest(forest))
 
     elif cmd == "number-of":
+        from . import bijection, forests
+
         # a parsed tree keeps a key per vertex, O(depth**2) characters on a
         # path: refuse a well-formed input too tall for the cap before that
         bijection.check_height(forests.bracket_depth(args.brackets), args.cap)
@@ -155,6 +168,8 @@ def _run(args: argparse.Namespace) -> int:
             sys.set_int_max_str_digits(digits)
 
     elif cmd == "stats":
+        from . import bijection, forests
+
         st = bijection.stats_of(args.n, table)
         walked = forests.stats(bijection.arborify(args.n, table))
         if (st.vertices, st.edges, st.leaves) != tuple(walked):
@@ -176,6 +191,8 @@ def _run(args: argparse.Namespace) -> int:
             )
 
     elif cmd == "degree-list":
+        from . import bijection
+
         ns = bijection.integers_of_degree(args.m, table)
         if args.format == "json":
             _emit({"degree": args.m, "integers": ns})
@@ -183,6 +200,8 @@ def _run(args: argparse.Namespace) -> int:
             print(" ".join(map(str, ns)))
 
     elif cmd == "leaf-class":
+        from . import bijection
+
         ns = bijection.integers_with_leaf_count(args.leaves, args.max, table)
         if args.format == "json":
             _emit({"leaves": args.leaves, "max": args.max, "integers": ns})
@@ -190,12 +209,18 @@ def _run(args: argparse.Namespace) -> int:
             print(" ".join(map(str, ns)))
 
     elif cmd == "butcher":
+        from . import algebra
+
         print(algebra.butcher(args.p, args.q, table))
 
     elif cmd == "fuse":
+        from . import algebra
+
         print(algebra.fuse(args.p, args.q, table))
 
     elif cmd == "cuts":
+        from . import algebra
+
         pairs = sorted(algebra.cuts(args.p, table))
         chains = algebra.cut_chains(args.p, table) if args.trace else None
         if args.format == "json":
@@ -219,10 +244,14 @@ def _run(args: argparse.Namespace) -> int:
                     print("chain: " + " -> ".join(map(str, chain)))
 
     elif cmd == "table":
+        from . import bijection
+
         for chunk in bijection.table_text(args.lo, args.hi, table):
             sys.stdout.write(chunk)
 
     elif cmd == "ratio-table":
+        from . import scans
+
         entries = scans.ratio_table(args.k, args.l, table)
         if args.format == "json":
             _emit(
@@ -244,6 +273,8 @@ def _run(args: argparse.Namespace) -> int:
         print(report.to_json(with_elapsed=args.timings))
 
     elif cmd == "constellation":
+        from . import scans
+
         w = scans.min_constellation_width(args.k, table)
         if args.format == "json":
             _emit({"k": w.k, "width": w.width, "pattern": list(w.pattern)})
@@ -251,9 +282,13 @@ def _run(args: argparse.Namespace) -> int:
             print(f"k={w.k} width={w.width} pattern={' '.join(map(str, w.pattern))}")
 
     elif cmd == "summatory":
+        from . import pairing
+
         print(pairing.summatory(args.n, args.mode, table))
 
     elif cmd == "partners":
+        from . import pairing
+
         ls = pairing.partner_candidates(args.k, args.mode, table)
         if args.format == "json":
             _emit({"k": args.k, "mode": args.mode, "partners": ls})
@@ -261,6 +296,8 @@ def _run(args: argparse.Namespace) -> int:
             print(" ".join(map(str, ls)) if ls else "no partners")
 
     elif cmd == "pair":
+        from . import pairing
+
         report = pairing.pair_range(args.n, args.mode, args.policy, table)
         if args.format == "json":
             print(report.to_json())
@@ -272,6 +309,8 @@ def _run(args: argparse.Namespace) -> int:
             )
 
     elif cmd == "validate-pairs":
+        from . import pairing
+
         with open(args.file, "r", encoding="utf-8") as fh:
             pairs = pairing.load_pairs(fh.read())
         report = pairing.report_from_pairs(args.max, args.mode, pairs, table=table)
@@ -292,7 +331,9 @@ def _run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_scan(args: argparse.Namespace, table: PrimeTable) -> scans.ScanReport:
+def _run_scan(args: argparse.Namespace, table: PrimeTable) -> ScanReport:
+    from . import scans
+
     name, options = _SCANS[args.which]
     bounds = [getattr(args, o) or args.max for o in options]
     if None in bounds:

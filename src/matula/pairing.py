@@ -18,14 +18,9 @@ from operator import itemgetter
 import numpy as np
 
 from .algebra import CutPair, _ordered_cuts, cuts, fuse
+from .constants import LIOUVILLE, MOBIUS, MODES, POLICIES
 from .errors import MatulaError, SieveTooLarge
 from .primes import _AUTO_FACTOR_SIEVE, PrimeTable, default_table
-
-MOBIUS = "mobius"
-LIOUVILLE = "liouville"
-MODES = (MOBIUS, LIOUVILLE)
-
-POLICIES = ("largest", "smallest", "first")
 
 
 def _check_mode(mode: str) -> str:

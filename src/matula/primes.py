@@ -19,9 +19,9 @@ from math import ceil, isqrt, log
 
 import numpy as np
 
+from .constants import DEFAULT_CAP
 from .errors import CapExceeded, NotPrime, SieveTooLarge
 
-DEFAULT_CAP = 2**32
 MAX_CAP = 2**63 - 1  # the table stores int64
 
 _SEGMENT = 1 << 21          # integers per sieve chunk: an odd-only mask of 1 MB

@@ -14,7 +14,6 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 
 from .algebra import nap_law_holds, value_increasing_cuts
@@ -165,6 +164,8 @@ def _float_bound_scan(
         clear_fail = p > b + band
     near = np.abs(p - b) <= band
     failures = [int(n) for n in ns[clear_fail]]
+    import mpmath  # here, not at the top: only the 60-digit recheck needs it
+
     with mpmath.workdps(60):
         for i in np.nonzero(near)[0]:
             n = int(ns[i])

@@ -490,14 +490,20 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 """
 
 
-def _spawn(*command: str, out: str = os.devnull) -> tuple[int, int]:
-    """Exit code and peak RSS in kB of ``python -m matula.cli *command``,
-    its stdout written to ``out``."""
+def _python(*argv: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter that imports this checkout's ``matula``."""
     src = str(Path(__file__).parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    argv = [sys.executable, "-c", _SPAWN, out, sys.executable, "-m", "matula.cli", *command]
-    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120, check=True)
+    return subprocess.run(
+        [sys.executable, *argv], env=env, capture_output=True, text=True, timeout=120, check=True
+    )
+
+
+def _spawn(*command: str, out: str = os.devnull) -> tuple[int, int]:
+    """Exit code and peak RSS in kB of ``python -m matula.cli *command``,
+    its stdout written to ``out``."""
+    done = _python("-c", _SPAWN, out, sys.executable, "-m", "matula.cli", *command)
     code, maxrss_kb = map(int, done.stdout.split())
     return code, maxrss_kb
 
@@ -516,6 +522,103 @@ def test_validate_pairs_at_ten_million_stays_bounded(tmp_path):
     # 1484 MB while the validator kept Python sets of every member; about
     # 400 MB of what is left is the report's list of 9,999,904 singletons
     assert maxrss_kb < 800 * 1024
+
+
+# Runs one command, its stdout dropped, and prints its exit code and which of
+# the watched modules it loaded.
+_LOADED = """
+import contextlib, json, os, sys
+from matula.cli import main
+with open(os.devnull, "w") as null, contextlib.redirect_stdout(null), contextlib.redirect_stderr(null):
+    try:
+        code = main(sys.argv[2:])
+    except SystemExit as exc:
+        code = exc.code
+print(json.dumps([code, sorted(m for m in json.loads(sys.argv[1]) if m in sys.modules)]))
+"""
+
+PARSER_ONLY = {"numpy", "mpmath"}
+PAIRING_ONLY = {"matula.scans", "matula.bijection", "matula.forests", "mpmath"}
+TREES_ONLY = {"matula.pairing", "matula.scans", "mpmath"}
+
+
+LOAD_CASES = [
+    ("--help", 0, PARSER_ONLY),
+    ("pair 10 --mode bogus", 2, PARSER_ONLY),
+    ("pair 100", 0, PAIRING_ONLY),
+    ("validate-pairs {fixture} --max 96", 0, PAIRING_ONLY),
+    ("summatory 100", 0, PAIRING_ONLY),
+    ("partners 35 --mode mobius", 0, PAIRING_ONLY),
+    ("table --to 20", 0, TREES_ONLY),
+    ("leaf-class 2 --max 100", 0, TREES_ONLY),
+    ("degree-list 5", 0, TREES_ONLY),
+    ("number-of [[[]]]", 0, TREES_ONLY),
+    ("arborify 12", 0, TREES_ONLY),
+    ("scan sousselier --max 100", 0, {"mpmath"}),
+]
+
+
+@pytest.mark.parametrize("line, code, absent", LOAD_CASES, ids=[c[0] for c in LOAD_CASES])
+def test_a_command_loads_only_its_layers(line, code, absent):
+    argv = line.format(fixture=FIXTURE).split()
+    watched = sorted(absent | {"numpy"})
+    got, loaded = json.loads(_python("-c", _LOADED, json.dumps(watched), *argv).stdout)
+    assert got == code
+    assert not absent & set(loaded)
+    assert ("numpy" in loaded) == (absent != PARSER_ONLY)  # every command sieves
+
+
+def test_only_the_bound_recheck_loads_mpmath():
+    got, loaded = json.loads(
+        _python("-c", _LOADED, '["mpmath"]', "scan", "mrd", "--max", "100").stdout
+    )
+    assert (got, loaded) == (0, ["mpmath"])
+
+
+# Exports that are values, not functions or classes, with their defining module.
+VALUE_HOMES = {
+    "EMPTY_FOREST": "forests",
+    "LEAF": "forests",
+    "LIOUVILLE": "constants",
+    "MOBIUS": "constants",
+}
+
+
+def test_every_export_is_its_submodules_object():
+    import importlib
+
+    import matula
+
+    for name in matula.__all__:
+        obj = getattr(matula, name)
+        home = VALUE_HOMES.get(name) or obj.__module__.removeprefix("matula.")
+        assert obj is getattr(importlib.import_module(f"matula.{home}"), name), name
+
+
+def test_the_parsers_names_stay_where_they_were():
+    from matula import constants, pairing, primes
+
+    for name in ("MOBIUS", "LIOUVILLE", "MODES", "POLICIES"):
+        assert getattr(pairing, name) is getattr(constants, name)
+    assert primes.DEFAULT_CAP is constants.DEFAULT_CAP
+
+
+def test_the_package_lists_and_star_imports_every_export():
+    import matula
+
+    names = set(matula.__all__)
+    assert names <= set(dir(matula))
+    assert {"algebra", "bijection", "cli", "pairing", "primes", "scans"} <= set(dir(matula))
+    star: dict = {}
+    exec("from matula import *", star)
+    assert names <= set(star)
+    with pytest.raises(AttributeError):
+        matula.no_such_name
+
+
+def test_importing_the_package_loads_no_numpy():
+    code = "import sys, matula; print(sorted({'numpy', 'mpmath'} & set(sys.modules)))"
+    assert _python("-c", code).stdout == "[]\n"
 
 
 def test_usage_errors_exit_2(capsys):
