@@ -8,6 +8,7 @@ from a failing block.
 """
 
 import contextlib
+import hashlib
 
 import pytest
 from hypothesis import given, settings
@@ -97,3 +98,11 @@ def test_a_failing_block_is_redone_with_every_later_one(mode, policy):
         assert pair_range(n, mode, policy, table).to_json() == expected
     # the per-k search starts at the top of the failing block, not above it
     assert failing < max(factorized) <= 2 * failing - 1
+
+
+def test_pair_json_bytes_at_a_million_are_pinned():
+    # recorded before the greedy read one run of edges per k; the CLI's stdout
+    # (this text and a newline) has sha256 0878e6e8...0b65542
+    text = pair_range(10**6, "liouville", "largest").to_json()
+    digest = "b309fa16e9ae85472a16bc44f9ea55205eaa7ac092f5add33a059ea8cc7e51ef"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
