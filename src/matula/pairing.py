@@ -187,7 +187,7 @@ def partner_candidates(
 
 # -- partner edges in blocks ----------------------------------------------------
 
-_PAIR_BLOCK = 1 << 10  # integers per partner-search block; bounds its edge arrays
+_PAIR_BLOCK = 1 << 12  # integers per partner-search block; bounds its edge arrays
 
 
 def _spans(first: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -272,9 +272,10 @@ def _block_edges(
     primes: np.ndarray,
     cut_table: tuple[np.ndarray, np.ndarray, np.ndarray],
     table: PrimeTable,
-) -> list[list[int]]:
-    """Columns k, l, x, y, z of every edge (k, l) of ``_moves`` with lo <= k <= hi
-    and both ends marked in ``live``, in the order a greedy ``policy`` tries them.
+) -> tuple[np.ndarray, ...]:
+    """int64 columns k, l, x, y, z of every edge (k, l) of ``_moves`` with
+    lo <= k <= hi and both ends marked in ``live``, in the order a greedy
+    ``policy`` tries them.
 
     The order is k descending, then the policy's key on l, then ``_moves``'
     generation order.  A cut of factor x into y * z has z >= 2; a fusion of
@@ -315,11 +316,31 @@ def _block_edges(
     keep = live[edge_l] != 0
     columns = [col[keep] for col in columns]
     edge_k, edge_l = columns[:2]
-    if policy == "first":
-        order = np.lexsort((-edge_k,))
-    else:
-        order = np.lexsort((edge_l if policy == "smallest" else -edge_l, -edge_k))
-    return [col[order].tolist() for col in columns]
+    # one key, ties left in generation order: 0 <= l < k <= hi, so the k term
+    # (hi - k) * (hi + 1) outweighs any l term in 0..hi
+    key = hi - edge_k
+    if policy != "first":
+        key = key * (hi + 1) + (edge_l if policy == "smallest" else hi - edge_l)
+    order = np.argsort(key, kind="stable")
+    return tuple(col[order] for col in columns)
+
+
+def _greedy_rows(edge_k: np.ndarray, edge_l: np.ndarray, free: bytearray) -> list[int]:
+    """Rows of the edges a greedy takes, reading them in order: each k still
+    marked in ``free`` takes the first edge of its run whose l is marked, and
+    both ends are cleared.  Nothing is taken inside a run before its pick, so
+    this is the edge-by-edge greedy with each taken k read once."""
+    starts = np.flatnonzero(np.diff(edge_k, prepend=0)).tolist()  # edge_k >= 2
+    ls = edge_l.tolist()
+    rows = []
+    for k, a, b in zip(edge_k[starts].tolist(), starts, [*starts[1:], len(ls)]):
+        if free[k]:
+            for i in range(a, b):
+                if free[ls[i]]:
+                    free[k] = free[ls[i]] = 0
+                    rows.append(i)
+                    break
+    return rows
 
 
 # -- the pairing engine ---------------------------------------------------------
@@ -392,8 +413,9 @@ def pair_range(
     order with ties in generation order, but filtered by the sign sieve of
     1..n instead of one factorization each.  They come as arrays, one block
     of k at a time (``_block_edges``, from ``PrimeTable.factor_blocks`` and
-    one table of the cuts of every prime <= n); only the chosen move becomes
-    a move-log dict.  A block that raises a ``MatulaError`` is redone with
+    one table of the cuts of every prime <= n); each k still free reads its
+    run of edges up to the first free partner (``_greedy_rows``), and only
+    the chosen move becomes a move-log dict.  A block that raises a ``MatulaError`` is redone with
     every later one by the per-k search, which raises what it raises.  A
     number whose candidates are all taken becomes a singleton; no
     backtracking is attempted.  Deterministic for fixed (n, mode, policy).
@@ -414,17 +436,18 @@ def pair_range(
         pairs.append((k, l))
         move_log[k] = _move_dict(move)
 
+    live = np.frombuffer(free, dtype=np.uint8)  # a view: sees every take
     top = n  # every k above top is settled
     try:
         primes = table.primes_up_to(n)
         cut_table = _cut_table(primes, table)
-        live = np.frombuffer(free, dtype=np.uint8)  # a view: sees every take
         while top >= 2:
             lo = max(top // _PAIR_BLOCK * _PAIR_BLOCK, 2)
             edges = _block_edges(lo, top, policy, live, primes, cut_table, table)
-            for k, l, x, y, z in zip(*edges):  # the first free partner wins
-                if free[k] and free[l]:
-                    take(k, l, ("cut", x, y, z) if z else ("fusion", x, y))
+            rows = _greedy_rows(edges[0], edges[1], free)
+            for k, l, x, y, z in zip(*(col[rows].tolist() for col in edges)):
+                pairs.append((k, l))
+                move_log[k] = _move_dict(("cut", x, y, z) if z else ("fusion", x, y))
             top = lo - 1
     except MatulaError:
         pass
@@ -440,16 +463,21 @@ def pair_range(
             take(k, *min(moves, key=itemgetter(0)))
         else:  # first in generation order
             take(k, *moves[0])
-    return _report(n, mode, policy, pairs, signs, move_log)
+    return _report(n, mode, policy, pairs, signs, move_log, live)
 
 
 def _report(
-    n: int, mode: str, policy: str, pairs: list, signs: np.ndarray, move_log: dict
+    n: int,
+    mode: str,
+    policy: str,
+    pairs: list,
+    signs: np.ndarray,
+    move_log: dict,
+    unpaired: np.ndarray,
 ) -> PairingReport:
-    """Report a pairing of 1..n; singletons, bound and exact sum come from signs."""
-    taken = np.zeros(n + 1, dtype=bool)  # members outside 1..n are the validator's
-    taken[[m for pair in pairs for m in pair if 1 <= m <= n]] = True
-    singletons = np.flatnonzero((signs != 0) & ~taken)
+    """Report a pairing of 1..n whose singletons are marked in ``unpaired``
+    (indexed by k); bound and exact sum come from signs."""
+    singletons = np.flatnonzero(unpaired)
     return PairingReport(
         n=n,
         mode=mode,
@@ -540,29 +568,41 @@ def validation_errors(
     if abs(exact) > bound:
         errs.append(f"|summatory| {abs(exact)} exceeds bound {bound}")
 
+    seen: dict[tuple, object] = {}  # one replay per distinct move
     for k, l in report.pairs:
         mv = report.move_log.get(k)
         if mv is None:
             continue
-        if _replay_move(k, mv, table) != l:
+        if _replay_move(k, mv, table, seen) != l:
             errs.append(f"move log for {k} does not reach {l}: {mv}")
     return errs
 
 
-def _replay_move(k: int, move: dict, table: PrimeTable) -> int | None:
+def _replay_move(
+    k: int, move: dict, table: PrimeTable, seen: dict | None = None
+) -> int | None:
+    """The l a move-log entry takes k to; None if k cannot make that move or
+    the entry is malformed.  ``seen`` memoises what does not depend on k:
+    whether (s, r) is a cut of q, keyed (q, s, r), and the fused prime of q
+    and r, keyed (q, r)."""
+    seen = {} if seen is None else seen
     try:
         if move["kind"] == "cut":
             q, s, r = move["factor"], move["detached"], move["remaining"]
             if q < 3 or k % q != 0:
                 return None
-            if CutPair(s, r) not in cuts(q, table):
-                return None
-            return (k // q) * s * r
+            is_cut = seen.get((q, s, r))
+            if is_cut is None:
+                is_cut = seen[q, s, r] = CutPair(s, r) in cuts(q, table)
+            return (k // q) * s * r if is_cut else None
         if move["kind"] == "fusion":
             q, r = move["left"], move["right"]
             if k % (q * r) != 0:
                 return None
-            return (k // (q * r)) * fuse(q, r, table)
+            fused = seen.get((q, r))
+            if fused is None:
+                fused = seen[q, r] = fuse(q, r, table)
+            return (k // (q * r)) * fused
     except Exception:
         return None
     return None
@@ -601,4 +641,7 @@ def report_from_pairs(
     if n < 1:
         raise ValueError(f"report_from_pairs expects n >= 1, got {n}")
     table = table or default_table()
-    return _report(n, mode, policy, list(pairs), _signs(n, mode, table), {})
+    signs = _signs(n, mode, table)
+    taken = np.zeros(n + 1, dtype=bool)  # members outside 1..n are the validator's
+    taken[[m for pair in pairs for m in pair if 1 <= m <= n]] = True
+    return _report(n, mode, policy, list(pairs), signs, {}, (signs != 0) & ~taken)

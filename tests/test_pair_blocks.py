@@ -54,17 +54,19 @@ def test_cut_table_matches_ordered_cuts_below_100000():
         assert got == [tuple(c) for c in _ordered_cuts(q, table)], q
 
 
+_B = pairing._PAIR_BLOCK
+
 # block edges sit at multiples of the block size; draw next to them often
 _N = st.one_of(
     st.integers(1, 3000),
-    st.builds(lambda j, d: j * 1024 + d, st.integers(1, 2), st.integers(-1, 1)),
+    st.builds(lambda j, d: j * _B + d, st.integers(1, 2), st.integers(-1, 1)),
 )
 
 
 @pytest.mark.parametrize("policy", POLICIES)
 @pytest.mark.parametrize("mode", MODES)
 @settings(max_examples=40, deadline=None)
-@given(n=_N, cap=st.integers(1, 5000))
+@given(n=_N, cap=st.integers(1, 5 * _B))
 def test_pair_range_matches_the_per_k_search(mode, policy, n, cap):
     blocks = _outcome(n, mode, policy, cap)
     with _per_k_only():
@@ -75,8 +77,8 @@ def test_pair_range_matches_the_per_k_search(mode, policy, n, cap):
 @pytest.mark.parametrize("policy", POLICIES)
 @pytest.mark.parametrize("mode", MODES)
 def test_a_failing_block_is_redone_with_every_later_one(mode, policy):
-    # blocks of 2500: [2048, 2500], [1024, 2047], [2, 1023]; the middle one fails
-    n, failing = 2500, 1024
+    # blocks of n: [2B, n], [B, 2B - 1], [2, B - 1]; the middle one fails
+    n, failing = 2 * _B + 452, _B
     table = PrimeTable()
     expected = pair_range(n, mode, policy, table).to_json()
     edges = pairing._block_edges
