@@ -317,7 +317,8 @@ def _block_edges(
     columns = [col[keep] for col in columns]
     edge_k, edge_l = columns[:2]
     # one key, ties left in generation order: 0 <= l < k <= hi, so the k term
-    # (hi - k) * (hi + 1) outweighs any l term in 0..hi
+    # (hi - k) * (hi + 1) outweighs any l term in 0..hi; it stays below
+    # _PAIR_BLOCK * (hi + 1), far inside int64 for any n whose signs fit in memory
     key = hi - edge_k
     if policy != "first":
         key = key * (hi + 1) + (edge_l if policy == "smallest" else hi - edge_l)
