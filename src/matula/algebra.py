@@ -4,13 +4,16 @@ Grafting one prime's tree onto the root of another's (the Butcher product)
 and merging two roots (fusion) act on prime ranks; cutting an edge splits a
 prime into a pair of primes.  All three are computed purely on ranks, so no
 tree objects are built here; the tests cross-check against the forest model.
+``_cut_table`` lists the cuts of every prime up to some x at once, as arrays.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .primes import PrimeTable, default_table
+import numpy as np
+
+from .primes import PrimeTable, _distinct_factors, default_table
 
 
 class CutPair(NamedTuple):
@@ -77,6 +80,54 @@ def _ordered_cuts(q: int, table: PrimeTable) -> tuple[CutPair, ...]:
     return got
 
 
+def _spans(first: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(owner, index): index runs over first[i] .. first[i] + count[i] - 1 for
+    each i in turn, and owner repeats that i alongside."""
+    owner = np.repeat(np.arange(len(count)), count)
+    ends = np.cumsum(count)
+    index = np.arange(int(ends[-1]) if len(ends) else 0) - np.repeat(ends - count - first, count)
+    return owner, index
+
+
+def _cut_table(
+    primes: np.ndarray, table: PrimeTable
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The cuts of every prime in ``primes`` (all primes up to some x), as
+    (offsets, detached, remaining): those of the m-th prime are the pairs
+    (detached[i], remaining[i]) for i in offsets[m - 1]:offsets[m], in the
+    order of ``_ordered_cuts``.
+
+    The cuts of p_m are the root cuts (d, p_{m/d}) and the relayed cuts
+    (s, p_{(m/d) r}), for each prime d | m and each cut (s, r) of d.  A cut
+    leaves a smaller tree (r < d), so every rank read is below m.  The ranks
+    are filled in ascending blocks that end below both 2 lo and p_lo, so
+    each d | m has its cuts from an earlier block.
+    """
+    offsets = np.zeros(len(primes) + 1, dtype=np.int64)
+    detached = remaining = np.empty(0, dtype=np.int64)
+    lo = 2  # p_1 = 2 is a single vertex: no cuts
+    while lo <= len(primes):
+        hi = min(2 * lo - 1, int(primes[lo - 1]) - 1, len(primes))
+        _, rest, powers = next(table.factor_blocks(lo, hi, hi + 1))
+        row, d, _ = _distinct_factors(rest, powers)
+        m = row + lo
+        rank = np.searchsorted(primes, d) + 1
+        owner, i = _spans(offsets[rank - 1], offsets[rank] - offsets[rank - 1])
+        who = np.concatenate([m, m[owner]])
+        s = np.concatenate([d, detached[i]])
+        r = table.nth_primes(np.concatenate([m // d, (m // d)[owner] * remaining[i]]))
+        order = np.lexsort((r, s, who))
+        who, s, r = who[order], s[order], r[order]
+        new = np.ones(len(who), dtype=bool)
+        new[1:] = (who[1:] != who[:-1]) | (s[1:] != s[:-1]) | (r[1:] != r[:-1])
+        counts = np.bincount(who[new] - lo, minlength=hi - lo + 1)
+        offsets[lo : hi + 1] = offsets[lo - 1] + np.cumsum(counts)
+        detached = np.concatenate([detached, s[new]])
+        remaining = np.concatenate([remaining, r[new]])
+        lo = hi + 1
+    return offsets, detached, remaining
+
+
 def cut_chains(
     q: int, table: PrimeTable | None = None
 ) -> list[tuple[CutPair, tuple[int, ...]]]:
@@ -120,9 +171,8 @@ def value_increasing_cuts(
     two-factor product exceeds q.  Cuts normally decrease the value; the
     exceptions are rare and this scan certifies them for a range."""
     table = table or default_table()
-    out: set[tuple[int, int]] = set()
-    for q in map(int, table.primes_up_to(limit)):
-        for pair in _ordered_cuts(q, table):
-            if pair.product > q:
-                out.add((q, pair.product))
-    return sorted(out)
+    primes = table.primes_up_to(limit)
+    offsets, detached, remaining = _cut_table(primes, table)
+    q, product = np.repeat(primes, np.diff(offsets)), detached * remaining
+    up = product > q
+    return sorted(set(zip(q[up].tolist(), product[up].tolist())))

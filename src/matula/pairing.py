@@ -17,10 +17,10 @@ from operator import itemgetter
 
 import numpy as np
 
-from .algebra import CutPair, _ordered_cuts, cuts, fuse
+from .algebra import CutPair, _cut_table, _ordered_cuts, _spans, cuts, fuse
 from .constants import LIOUVILLE, MOBIUS, MODES, POLICIES
-from .errors import MatulaError, SieveTooLarge
-from .primes import _AUTO_FACTOR_SIEVE, PrimeTable, default_table
+from .errors import CapExceeded, MatulaError, SieveTooLarge
+from .primes import PrimeTable, _distinct_factors, default_table
 
 
 def _check_mode(mode: str) -> str:
@@ -111,12 +111,12 @@ def _signs(n: int, mode: str, table: PrimeTable) -> np.ndarray:
 
 def _moves(
     k: int, factors: list[tuple[int, int]], table: PrimeTable
-) -> Iterator[tuple[int, tuple]]:
-    """(l, compact move) for every l < k one cut or one root fusion reaches.
+) -> Iterator[tuple[int, int, int, int]]:
+    """(l, x, y, z) for every l < k one cut or one root fusion reaches.
 
-    ``factors`` is k's factorization.  A compact move is ("cut", q, s, r) or
-    ("fusion", q, r); ``_move_dict`` spells it out.  Each factor's prime rank
-    is looked up once, so a fusion costs one ``nth_prime`` call.
+    ``factors`` is k's factorization; x, y, z encode the move as the columns
+    of ``_block_edges`` do.  Each factor's prime rank is looked up once, so a
+    fusion costs one ``nth_prime`` call.
     """
     for q, _e in factors:
         if q < 3:
@@ -124,7 +124,7 @@ def _moves(
         for s, r in _ordered_cuts(q, table):
             l = (k // q) * s * r
             if l < k:
-                yield l, ("cut", q, s, r)
+                yield l, q, s, r
     ranks = [table.prime_rank(p) for p, _ in factors]
     for i, (q, e) in enumerate(factors):
         for j in range(i, len(factors)):
@@ -133,21 +133,19 @@ def _moves(
             r = factors[j][0]
             l = (k // (q * r)) * table.nth_prime(ranks[i] * ranks[j])
             if l < k:
-                yield l, ("fusion", q, r)
+                yield l, q, r, 0
 
 
-def _move_dict(move: tuple) -> dict:
-    """The move-log entry of a compact move."""
-    if move[0] == "cut":
-        _, q, s, r = move
-        return {"kind": "cut", "factor": q, "detached": s, "remaining": r}
-    _, q, r = move
-    return {"kind": "fusion", "left": q, "right": r}
+def _move_dict(x: int, y: int, z: int) -> dict:
+    """The move-log entry of a move in column encoding (z = 0 for a fusion)."""
+    if z:
+        return {"kind": "cut", "factor": x, "detached": y, "remaining": z}
+    return {"kind": "fusion", "left": x, "right": y}
 
 
-def _free_moves(k: int, free: bytearray, table: PrimeTable) -> list[tuple[int, tuple]]:
+def _free_moves(k: int, free: bytearray, table: PrimeTable) -> list[tuple]:
     """``_moves`` of k whose target l is marked in ``free``."""
-    return [(l, mv) for l, mv in _moves(k, table.factorize(k), table) if free[l]]
+    return [move for move in _moves(k, table.factorize(k), table) if free[move[0]]]
 
 
 def partner_moves(
@@ -172,8 +170,8 @@ def partner_moves(
     if mode == MOBIUS and any(e > 1 for _, e in factors):
         raise ValueError(f"mobius pairing is over squarefree integers, got {k}")
     return [
-        (l, _move_dict(mv))
-        for l, mv in _moves(k, factors, table)
+        (l, _move_dict(x, y, z))
+        for l, x, y, z in _moves(k, factors, table)
         if mode == LIOUVILLE or is_squarefree(l, table)
     ]
 
@@ -188,80 +186,6 @@ def partner_candidates(
 # -- partner edges in blocks ----------------------------------------------------
 
 _PAIR_BLOCK = 1 << 12  # integers per partner-search block; bounds its edge arrays
-
-
-def _spans(first: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(owner, index): index runs over first[i] .. first[i] + count[i] - 1 for
-    each i in turn, and owner repeats that i alongside."""
-    owner = np.repeat(np.arange(len(count)), count)
-    ends = np.cumsum(count)
-    index = np.arange(int(ends[-1]) if len(ends) else 0) - np.repeat(ends - count - first, count)
-    return owner, index
-
-
-def _distinct_factors(
-    rest: np.ndarray, powers: list
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(row, prime, square) for every distinct prime factor of every row of a
-    ``PrimeTable.factor_blocks`` block, sorted by row and then by prime;
-    square marks the primes whose square divides the row."""
-    rows, primes, squares = [], [], []
-    for p, e, hit in powers:
-        if e == 1:
-            row = np.arange(hit.start, len(rest), hit.step)
-            square = np.zeros(len(row), dtype=bool)
-            rows.append(row)
-            primes.append(np.full(len(row), p, dtype=np.int64))
-            squares.append(square)
-            first = hit.start
-        elif e == 2:  # the multiples of p**2 among the multiples of p above
-            square[(np.arange(hit.start, len(rest), hit.step) - first) // p] = True
-    big = np.flatnonzero(rest > 1)  # the one prime above sqrt(end), the largest
-    rows.append(big)
-    primes.append(rest[big])
-    squares.append(np.zeros(len(big), dtype=bool))
-    row = np.concatenate(rows)
-    order = np.argsort(row, kind="stable")  # the primes came ascending
-    return row[order], np.concatenate(primes)[order], np.concatenate(squares)[order]
-
-
-def _cut_table(
-    primes: np.ndarray, table: PrimeTable
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The cuts of every prime in ``primes`` (all primes up to some x), as
-    (offsets, detached, remaining): those of the m-th prime are the pairs
-    (detached[i], remaining[i]) for i in offsets[m - 1]:offsets[m], in the
-    order of ``_ordered_cuts``.
-
-    The cuts of p_m are the root cuts (d, p_{m/d}) and the relayed cuts
-    (s, p_{(m/d) r}), for each prime d | m and each cut (s, r) of d.  A cut
-    leaves a smaller tree (r < d), so every rank read is below m.  The ranks
-    are filled in ascending blocks that end below both 2 lo and p_lo, so
-    each d | m has its cuts from an earlier block.
-    """
-    offsets = np.zeros(len(primes) + 1, dtype=np.int64)
-    detached = remaining = np.empty(0, dtype=np.int64)
-    lo = 2  # p_1 = 2 is a single vertex: no cuts
-    while lo <= len(primes):
-        hi = min(2 * lo - 1, int(primes[lo - 1]) - 1, len(primes))
-        _, rest, powers = next(table.factor_blocks(lo, hi, hi + 1))
-        row, d, _ = _distinct_factors(rest, powers)
-        m = row + lo
-        rank = np.searchsorted(primes, d) + 1
-        owner, i = _spans(offsets[rank - 1], offsets[rank] - offsets[rank - 1])
-        who = np.concatenate([m, m[owner]])
-        s = np.concatenate([d, detached[i]])
-        r = table.nth_primes(np.concatenate([m // d, (m // d)[owner] * remaining[i]]))
-        order = np.lexsort((r, s, who))
-        who, s, r = who[order], s[order], r[order]
-        new = np.ones(len(who), dtype=bool)
-        new[1:] = (who[1:] != who[:-1]) | (s[1:] != s[:-1]) | (r[1:] != r[:-1])
-        counts = np.bincount(who[new] - lo, minlength=hi - lo + 1)
-        offsets[lo : hi + 1] = offsets[lo - 1] + np.cumsum(counts)
-        detached = np.concatenate([detached, s[new]])
-        remaining = np.concatenate([remaining, r[new]])
-        lo = hi + 1
-    return offsets, detached, remaining
 
 
 def _block_edges(
@@ -432,10 +356,10 @@ def pair_range(
     pairs: list[tuple[int, int]] = []
     move_log: dict[int, dict] = {}
 
-    def take(k: int, l: int, move: tuple) -> None:
+    def take(k: int, l: int, x: int, y: int, z: int) -> None:
         free[k] = free[l] = 0
         pairs.append((k, l))
-        move_log[k] = _move_dict(move)
+        move_log[k] = _move_dict(x, y, z)
 
     live = np.frombuffer(free, dtype=np.uint8)  # a view: sees every take
     top = n  # every k above top is settled
@@ -446,9 +370,8 @@ def pair_range(
             lo = max(top // _PAIR_BLOCK * _PAIR_BLOCK, 2)
             edges = _block_edges(lo, top, policy, live, primes, cut_table, table)
             rows = _greedy_rows(edges[0], edges[1], free)
-            for k, l, x, y, z in zip(*(col[rows].tolist() for col in edges)):
-                pairs.append((k, l))
-                move_log[k] = _move_dict(("cut", x, y, z) if z else ("fusion", x, y))
+            for edge in zip(*(col[rows].tolist() for col in edges)):
+                take(*edge)
             top = lo - 1
     except MatulaError:
         pass
@@ -500,7 +423,8 @@ def validation_errors(
     """Re-check every report invariant; empty list means the report is valid.
 
     Array passes over the members (those outside 1..n stay Python ints); each
-    pair's signs come from ``PrimeTable.omega_parity``, not the block sieve.
+    pair's signs come from ``PrimeTable.omega_parity``, not the block sieve,
+    so the smallest-factor sieve grows to the largest member inside 1..n.
     """
     table = table or default_table()
     if report.mode not in MODES:
@@ -525,11 +449,8 @@ def validation_errors(
         again[np.unique(values, return_index=True)[1]] = False
     flagged = ~inside | again
     both = np.repeat(inside[:paired:2] & inside[1:paired:2], 2)
-    big = both & (values[:paired] > _AUTO_FACTOR_SIEVE)
-    odd, square = table.omega_parity(np.where(both & ~big, values[:paired], 1))
+    odd, square = table.omega_parity(np.where(both, values[:paired], 1))
     sign = np.where(square & (mode == MOBIUS), 0, 1 - 2 * odd.astype(np.int8))
-    for j in np.flatnonzero(big).tolist():  # past the sieve: by factorization
-        sign[j] = sign_of(flat[j], mode, table)
     suspect = flagged[:paired].reshape(-1, 2).any(axis=1) | (sign[::2] + sign[1::2] != 0)
     suspect |= values[1:paired:2] >= values[:paired:2]
 
@@ -569,41 +490,43 @@ def validation_errors(
     if abs(exact) > bound:
         errs.append(f"|summatory| {abs(exact)} exceeds bound {bound}")
 
-    seen: dict[tuple, object] = {}  # one replay per distinct move
+    memo: dict[tuple, object] = {}  # one replay per distinct move
     for k, l in report.pairs:
         mv = report.move_log.get(k)
         if mv is None:
             continue
-        if _replay_move(k, mv, table, seen) != l:
+        if _replay_move(k, mv, table, memo) != l:
             errs.append(f"move log for {k} does not reach {l}: {mv}")
     return errs
 
 
 def _replay_move(
-    k: int, move: dict, table: PrimeTable, seen: dict | None = None
+    k: int, move: dict, table: PrimeTable, memo: dict | None = None
 ) -> int | None:
     """The l a move-log entry takes k to; None if k cannot make that move or
-    the entry is malformed.  ``seen`` memoises what does not depend on k:
-    whether (s, r) is a cut of q, keyed (q, s, r), and the fused prime of q
-    and r, keyed (q, r)."""
-    seen = {} if seen is None else seen
+    the entry is malformed, but a refusal of the table propagates.  ``memo``
+    keeps what does not depend on k: whether (s, r) is a cut of q, keyed
+    (q, s, r), and the fused prime of q and r, keyed (q, r)."""
+    memo = {} if memo is None else memo
     try:
         if move["kind"] == "cut":
             q, s, r = move["factor"], move["detached"], move["remaining"]
             if q < 3 or k % q != 0:
                 return None
-            is_cut = seen.get((q, s, r))
+            is_cut = memo.get((q, s, r))
             if is_cut is None:
-                is_cut = seen[q, s, r] = CutPair(s, r) in cuts(q, table)
+                is_cut = memo[q, s, r] = CutPair(s, r) in cuts(q, table)
             return (k // q) * s * r if is_cut else None
         if move["kind"] == "fusion":
             q, r = move["left"], move["right"]
             if k % (q * r) != 0:
                 return None
-            fused = seen.get((q, r))
+            fused = memo.get((q, r))
             if fused is None:
-                fused = seen[q, r] = fuse(q, r, table)
+                fused = memo[q, r] = fuse(q, r, table)
             return (k // (q * r)) * fused
+    except (CapExceeded, SieveTooLarge):
+        raise  # the table refused: no verdict on the entry
     except Exception:
         return None
     return None

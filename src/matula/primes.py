@@ -417,6 +417,32 @@ class PrimeTable:
         return table
 
 
+def _distinct_factors(
+    rest: np.ndarray, powers: list
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(row, prime, square) for every distinct prime factor of every row of a
+    ``PrimeTable.factor_blocks`` block, sorted by row and then by prime;
+    square marks the primes whose square divides the row."""
+    rows, primes, squares = [], [], []
+    for p, e, hit in powers:
+        if e == 1:
+            row = np.arange(hit.start, len(rest), hit.step)
+            square = np.zeros(len(row), dtype=bool)
+            rows.append(row)
+            primes.append(np.full(len(row), p, dtype=np.int64))
+            squares.append(square)
+            first = hit.start
+        elif e == 2:  # the multiples of p**2 among the multiples of p above
+            square[(np.arange(hit.start, len(rest), hit.step) - first) // p] = True
+    big = np.flatnonzero(rest > 1)  # the one prime above sqrt(end), the largest
+    rows.append(big)
+    primes.append(rest[big])
+    squares.append(np.zeros(len(big), dtype=bool))
+    row = np.concatenate(rows)
+    order = np.argsort(row, kind="stable")  # the primes came ascending
+    return row[order], np.concatenate(primes)[order], np.concatenate(squares)[order]
+
+
 _default: PrimeTable | None = None
 _default_lock = threading.Lock()
 

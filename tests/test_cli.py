@@ -199,6 +199,20 @@ def test_scan_bytes_are_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of the stdout bytes of the JSON forms of degree-list and ratio-table
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        ("degree-list 9 --format json", "14af2c3639753851c06227442d5edbc8556fabb16c33df80d3c33f5984952fb2"),
+        ("ratio-table 5 7 --format json", "be14c6a471872f2d6dbd0b08146054b35898edc6d88e2f5a99b4bbaa7dad927f"),
+    ],
+)
+def test_json_bytes_of_degree_list_and_ratio_table_are_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_constellation(capsys):
     code, out, _ = run(capsys, "constellation", "6")
     assert code == 0 and out.startswith("k=6 width=16 pattern=0 ")
@@ -439,6 +453,17 @@ def test_cap_errors_are_pinned(capsys, argv):
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_pair_under_a_cap_just_below_n_runs_the_per_k_search(capsys):
+    # the block search needs every prime up to n and fails under --cap 1000;
+    # the per-k search needs only the primes its moves reach, up to n = 1008
+    for mode in ("liouville", "mobius"):
+        for n in range(1001, 1009):
+            argv = ["pair", str(n), "--mode", mode, "--format", "json"]
+            code, out, err = run(capsys, "--cap", "1000", *argv)
+            assert (code, out, err) == (0, run(capsys, *argv)[1], ""), (mode, n)
+    assert run(capsys, "--cap", "1000", "pair", "1009") == (4, "", _past(1009, 1000))
+
+
 def test_degree_list_of_empty_levels(capsys):
     assert run(capsys, "degree-list", "0") == (0, "1\n", "")
     assert run(capsys, "degree-list", "1") == (0, "2\n", "")
@@ -652,7 +677,7 @@ def test_new_scan_kinds(capsys):
 # Which public operations each subcommand reaches (directly or through the
 # functions it calls), recorded by running RUNS with every exported callable
 # wrapped.  Every operation the package exports must be reached by some CLI
-# entry, except the two in NO_CLI_ROUTE.
+# entry, except those in NO_CLI_ROUTE.
 REACHES = {
     "arborify": ["arborify", "attach_root", "print_forest", "render"],
     "number-of": ["detach_root", "number_of", "parse_forest"],
@@ -683,15 +708,7 @@ REACHES = {
     "summatory": ["summatory"],
     "partners": ["is_squarefree", "partner_candidates", "partner_moves"],
     "pair": ["pair_range"],
-    "validate-pairs": [
-        "factor_count",
-        "is_squarefree",
-        "liouville",
-        "load_pairs",
-        "mobius",
-        "report_from_pairs",
-        "validation_errors",
-    ],
+    "validate-pairs": ["load_pairs", "report_from_pairs", "validation_errors"],
 }
 
 RUNS = {
@@ -713,7 +730,7 @@ RUNS = {
     "validate-pairs": [
         "validate-pairs {fixture} --max 96",
         "validate-pairs {mobius} --max 3 --mode mobius",
-        # past the smallest-factor sieve the validator re-checks a sign by factorize
+        # past 2**22 the validator grows the smallest-factor sieve, not factorize
         "validate-pairs {past} --max 4194310 --mode mobius",
     ],
 }
@@ -721,6 +738,10 @@ RUNS = {
 NO_CLI_ROUTE = {
     "default_table",  # wiring: the CLI builds its own table
     "validate_report",  # a boolean view of validation_errors, which validate-pairs prints
+    # one integer's sign: every command reads signs from a sieve array instead
+    "factor_count",
+    "liouville",
+    "mobius",
 }
 
 

@@ -1,6 +1,7 @@
 import sys
 import threading
 import tracemalloc
+import zlib
 from math import isqrt
 
 import numpy as np
@@ -184,6 +185,23 @@ def test_cache_without_a_checksum_is_corrupt(cache_file):
     cache_file.write_bytes(raw[:8] + raw[_CACHE_HEADER.size :])
     with pytest.raises(ValueError, match="corrupt prime cache"):
         PrimeTable.load(cache_file)
+
+
+def test_cache_out_of_order_with_a_matching_checksum_is_corrupt(cache_file):
+    # p_600 and p_601 swapped and the checksum recomputed: only the order
+    # check can tell
+    primes = bytearray(cache_file.read_bytes()[_CACHE_HEADER.size :])
+    primes[8 * 599 : 8 * 601] = primes[8 * 600 : 8 * 601] + primes[8 * 599 : 8 * 600]
+    cache_file.write_bytes(_CACHE_HEADER.pack(9592, zlib.crc32(primes)) + primes)
+    with pytest.raises(ValueError, match="corrupt prime cache"):
+        PrimeTable.load(cache_file)
+
+
+def test_cache_past_the_cap_is_refused(tmp_path):
+    path = tmp_path / "primes.bin"
+    PrimeTable(10**4).save(path)
+    with pytest.raises(CapExceeded, match=r"~9973, beyond the cap 1000$"):
+        PrimeTable.load(path, cap=1000)
 
 
 def test_cache_absence_is_fine(tmp_path):

@@ -181,8 +181,8 @@ def test_sieve_filter_matches_factorization_filter(table):
             if not free[k]:
                 continue
             sieved = [
-                (l, pairing._move_dict(mv))
-                for l, mv in pairing._free_moves(k, free, table)
+                (l, pairing._move_dict(x, y, z))
+                for l, x, y, z in pairing._free_moves(k, free, table)
             ]
             assert sieved == partner_moves(k, mode, table), (mode, k)
         for policy in ("largest", "smallest", "first"):

@@ -6,13 +6,14 @@ of the same document, and ``load_pairs`` against its own text."""
 import contextlib
 import io
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matula import PairingReport, load_pairs, pair_range, validation_errors
+from matula import CapExceeded, PairingReport, PrimeTable, load_pairs, pair_range, validation_errors
 from matula import pairing
 from matula.cli import main
 from oracles import validation_errors_reference
@@ -111,7 +112,8 @@ MOVES = st.one_of(
         n=st.integers(),
         mode=st.text(max_size=6),
         policy=st.text(max_size=6),
-        pairs=st.lists(st.tuples(st.integers(), st.integers()), max_size=8),
+        pairs=st.lists(st.tuples(st.integers(), st.integers()), max_size=8)
+        | st.lists(st.tuples(st.integers(), st.integers()), max_size=8).map(tuple),
         singletons=st.lists(st.integers(), max_size=8),
         bound=st.integers(),
         exact=st.integers(),
@@ -148,11 +150,27 @@ def test_load_pairs_messages_are_the_first_fault_in_line_order(text, message):
     assert str(exc.value) == message
 
 
-def test_members_past_the_smallest_factor_sieve_are_checked_by_factorization(table):
+def test_members_past_the_automatic_factor_sieve_grow_it(table):
     # 4194305 = 5 * 397 * 2113 lies past the sieve that factorize builds by
-    # itself (2**22); its mobius sign -1 cancels that of 6 but not that of 3
+    # itself (2**22), so the validator grows that sieve to reach it; its
+    # mobius sign -1 cancels that of 6 but not that of 3
     n = 4194305
     report = PairingReport(n, "mobius", "fixture", [(n, 6), (n, 3)], [], 0, 0)
     errors = validation_errors(report, table)
     assert f"pair ({n}, 3) signs do not cancel" in errors
     assert f"pair ({n}, 6) signs do not cancel" not in errors
+
+
+def test_a_move_past_the_cap_raises_instead_of_failing_its_replay():
+    # replaying a cut of a prime above 200 needs primes the table may not
+    # sieve: a refusal, not 151 move logs that miss their l
+    with pytest.raises(CapExceeded):
+        validation_errors(pair_range(1000), PrimeTable(cap=200))
+
+
+def test_a_cut_of_a_composite_factor_gets_its_one_message(table):
+    report = pair_range(1000, "liouville", "largest", table)
+    k, l = next((k, l) for k, l in report.pairs if k % 4 == 0)
+    move = {"kind": "cut", "factor": 4, "detached": 2, "remaining": 2}
+    mutant = replace(report, move_log={**report.move_log, k: move})
+    assert validation_errors(mutant, table) == [f"move log for {k} does not reach {l}: {move}"]
