@@ -306,8 +306,7 @@ def _leaf_counts(bound: int, table: PrimeTable) -> np.ndarray:
     """
     cap = table.cap
     top = min(bound, 2 * cap)  # Bertrand: (cap, 2 cap] holds a prime
-    table.ensure_factor_sieve(top)
-    spf = table._spf
+    spf = table._spf_through(top)
     for lo in range(cap + 1, top + 1, _LEAF_BLOCK):
         hi = min(lo + _LEAF_BLOCK, top + 1)
         past = np.flatnonzero(spf[lo:hi] == np.arange(lo, hi))

@@ -14,6 +14,7 @@ import os
 import struct
 import threading
 import zlib
+from bisect import bisect_right
 from collections.abc import Iterator, Sequence
 from math import ceil, isqrt, log
 
@@ -196,6 +197,9 @@ class PrimeTable:
         would raise first, but the table grows only to the base primes of
         the largest rank.  Ranks past the table are picked out of further
         sieve segments by a running count; each segment is dropped once read.
+        Ascending or descending ranks are written through a view of the
+        output, so they cost no index array; others are visited in
+        ``argsort`` order.
         """
         try:
             want = np.asarray(ranks, dtype=np.int64)
@@ -213,16 +217,27 @@ class PrimeTable:
         with self._lock:
             primes, limit = self._primes, self._limit
         out = np.empty(len(head), dtype=np.int64)
-        inside = head <= len(primes)
-        out[inside] = primes[head[inside] - 1]
-        order = np.flatnonzero(~inside)
-        if len(order):
+        # ascending ranks as they come, descending ones through reversed views
+        rising = len(head) == 0 or head[0] <= head[-1]
+        ranks, dst = (head, out) if rising else (head[::-1], out[::-1])
+        if (ranks[1:] >= ranks[:-1]).all():
+            split = bisect_right(ranks, len(primes))  # the ranks inside the table
+            dst[:split] = primes[ranks[:split] - 1]
+            past, dst, order = ranks[split:], dst[split:], None
+        else:
+            inside = head <= len(primes)
+            out[inside] = primes[head[inside] - 1]
+            order = np.flatnonzero(~inside)
             order = order[np.argsort(head[order], kind="stable")]
-            past = head[order]  # the ranks past the table, ascending
+            past, dst = head[order], out
+        # past: the ranks past the table, ascending; the i-th goes to dst[i],
+        # or to out[order[i]] when the input was neither ascending nor descending
+        if len(past):
             count, done = len(primes), 0
             for found in self._segments(limit + 1, bound):
-                end = int(np.searchsorted(past, count + len(found), side="right"))
-                out[order[done:end]] = found[past[done:end] - count - 1]
+                end = bisect_right(past, count + len(found), done)
+                at = slice(done, end) if order is None else order[done:end]
+                dst[at] = found[past[done:end] - count - 1]
                 count += len(found)
                 done = end
                 if done == len(past):
@@ -280,19 +295,37 @@ class PrimeTable:
                 return
             # power-of-two sizes up to the automatic ceiling: O(log k) rebuilds
             doubled = min(1 << max(limit.bit_length(), 20), _AUTO_FACTOR_SIEVE + 1)
-            size = max(limit + 1, doubled)
-            # a prime is its own entry, so int32 holds entries below 2**31 only
-            dtype = np.dtype(np.int32 if size <= 2**31 else np.int64)
-            try:
-                spf = np.zeros(size, dtype=dtype)
-            except MemoryError:
-                raise SieveTooLarge(size - 1, dtype.itemsize * size) from None
-            # largest prime first, so each composite keeps its smallest factor
-            for p in reversed(self._sieve_segment(2, isqrt(size - 1), self._primes)):
-                spf[p * p :: p] = p
-            left = spf == 0  # 0, 1 and the primes: each is its own entry
-            spf[left] = np.flatnonzero(left)
-            self._spf = spf
+            self._spf = self._factor_sieve(max(limit + 1, doubled))
+
+    def _factor_sieve(self, size: int) -> np.ndarray:
+        """A new array of the smallest prime factor of each of 0..size-1."""
+        # a prime is its own entry, so int32 holds entries below 2**31 only
+        dtype = np.dtype(np.int32 if size <= 2**31 else np.int64)
+        try:
+            spf = np.zeros(size, dtype=dtype)
+        except MemoryError:
+            raise SieveTooLarge(size - 1, dtype.itemsize * size) from None
+        # largest prime first, so each composite keeps its smallest factor
+        for p in reversed(self._sieve_segment(2, isqrt(size - 1), self._primes)):
+            spf[p * p :: p] = p
+        left = spf == 0  # 0, 1 and the primes: each is its own entry
+        spf[left] = np.flatnonzero(left)
+        return spf
+
+    def _spf_through(self, limit: int) -> np.ndarray:
+        """A smallest-factor array covering 0..limit.
+
+        Up to the automatic ceiling it is the table's own sieve, grown as
+        needed.  Past it, a longer sieve the table already holds is reused;
+        otherwise one is built for the caller alone and not kept, so one
+        large call does not pin its sieve for the table's lifetime.
+        """
+        if limit <= _AUTO_FACTOR_SIEVE:
+            self.ensure_factor_sieve(limit)
+        spf = self._spf
+        if spf is not None and len(spf) > limit:
+            return spf
+        return self._factor_sieve(limit + 1)
 
     def factorize(self, k: int) -> list[tuple[int, int]]:
         """Prime factorization of k >= 1 as ascending (prime, multiplicity)."""
@@ -320,12 +353,11 @@ class PrimeTable:
         of prime factors counted with multiplicity, and whether it has a
         square factor above 1.
 
-        Walks the smallest-factor sieve (grown to the largest k), one prime
+        Walks a smallest-factor sieve through the largest k, one prime
         factor of every entry per step; a k's primes come ascending, so a
         square is a prime met twice in a row.
         """
-        self.ensure_factor_sieve(int(ks.max(initial=1)))
-        spf, rest = self._spf, ks.astype(np.int64)
+        spf, rest = self._spf_through(int(ks.max(initial=1))), ks.astype(np.int64)
         odd, square = np.zeros((2, len(ks)), dtype=bool)
         last = np.zeros(len(ks), dtype=spf.dtype)
         while (live := rest > 1).any():

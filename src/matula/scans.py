@@ -20,6 +20,9 @@ from .algebra import nap_law_holds, value_increasing_cuts
 from .primes import PrimeTable, default_table
 
 GUARD_BAND = 1e-9  # relative width of the float comparison no-man's-land
+# n per step of the scans that read the first n primes: their temporaries
+# stay a few of these long, whatever n_max is
+_TABLE_BLOCK = 1 << 15
 
 
 @dataclass
@@ -41,6 +44,14 @@ class ScanReport:
         }
         doc.update(self.extra)
         return json.dumps(doc, sort_keys=True, separators=(", ", ": "))
+
+
+def _blocks(first: int, last: int):
+    """(lo, hi) windows that cover first..last, split at multiples of _TABLE_BLOCK."""
+    while first <= last:
+        hi = min((first // _TABLE_BLOCK + 1) * _TABLE_BLOCK - 1, last)
+        yield first, hi
+        first = hi + 1
 
 
 def _timed(scan):
@@ -164,15 +175,16 @@ def _float_bound_scan(
         clear_fail = p > b + band
     near = np.abs(p - b) <= band
     failures = [int(n) for n in ns[clear_fail]]
-    import mpmath  # here, not at the top: only the 60-digit recheck needs it
+    if near.any():
+        import mpmath  # here, not at the top: only the 60-digit recheck needs it
 
-    with mpmath.workdps(60):
-        for i in np.nonzero(near)[0]:
-            n = int(ns[i])
-            exact = bound(n, mpmath.log, mpmath.mpf)
-            pn = mpmath.mpf(int(primes[i]))
-            if (kind == "lower" and pn < exact) or (kind == "upper" and pn > exact):
-                failures.append(n)
+        with mpmath.workdps(60):
+            for i in np.nonzero(near)[0]:
+                n = int(ns[i])
+                exact = bound(n, mpmath.log, mpmath.mpf)
+                pn = mpmath.mpf(int(primes[i]))
+                if (kind == "lower" and pn < exact) or (kind == "upper" and pn > exact):
+                    failures.append(n)
     return [(name, n) for n in sorted(failures)]
 
 
@@ -190,7 +202,8 @@ def scan_prime_size_bounds(n_max: int, table: PrimeTable | None = None) -> ScanR
     primes = table.first_n(n_max)
     exceptions: list[tuple] = []
     for name, first, kind, bound in _SIZE_BOUNDS:
-        exceptions += _float_bound_scan(name, first, kind, bound, primes)
+        for lo, hi in _blocks(first, n_max):
+            exceptions += _float_bound_scan(name, lo, kind, bound, primes[:hi])
     return ScanReport(
         name="prime-size-bounds",
         range={"n_min": 2, "n_max": n_max},
@@ -211,13 +224,16 @@ def scan_rank_ratio_monotone(n_max: int, table: PrimeTable | None = None) -> Sca
     # p_(p_n), largest rank first: a cap error then names the largest prime
     # the scan needs
     deep = table.nth_primes(primes[:0:-1])[::-1]
-    ns = np.arange(2, n_max + 1, dtype=np.int64)
-    p = primes[1:n_max]
-    bad = np.nonzero(p * p > ns * deep)[0]
+    exceptions: list[tuple] = []
+    for lo, hi in _blocks(2, n_max):
+        ns = np.arange(lo, hi + 1, dtype=np.int64)
+        p = primes[lo - 1 : hi]
+        bad = np.flatnonzero(p * p > ns * deep[lo - 2 : hi - 1])
+        exceptions += [(int(n),) for n in ns[bad]]
     return ScanReport(
         name="rank-ratio-monotone",
         range={"n_min": 2, "n_max": n_max},
-        exceptions=[(int(n),) for n in ns[bad]],
+        exceptions=exceptions,
     )
 
 
@@ -269,13 +285,16 @@ def scan_three_n(n_max: int, table: PrimeTable | None = None) -> ScanReport:
         raise ValueError(f"need n_max >= 12, got {n_max}")
     table = table or default_table()
     primes = table.first_n(n_max)
-    ns = np.arange(12, n_max + 1, dtype=np.int64)
-    bad = np.nonzero(primes[11:n_max] <= 3 * ns)[0]
+    exceptions: list[tuple] = []
+    for lo, hi in _blocks(12, n_max):
+        ns = np.arange(lo, hi + 1, dtype=np.int64)
+        bad = np.flatnonzero(primes[lo - 1 : hi] <= 3 * ns)
+        exceptions += [(int(n),) for n in ns[bad]]
     p11 = int(primes[10])
     return ScanReport(
         name="three-n",
         range={"n_min": 12, "n_max": n_max},
-        exceptions=[(int(n),) for n in ns[bad]],
+        exceptions=exceptions,
         extra={"boundary_witness": {"n": 11, "prime": p11, "three_n": 33}},
     )
 

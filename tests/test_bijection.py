@@ -16,6 +16,7 @@ from matula import (
     stats_of,
 )
 from matula.bijection import _integers_with_vertex_count, _least_number
+from matula.primes import _AUTO_FACTOR_SIEVE
 
 # the first twenty integers and their forests, worked out by hand
 FIRST_TWENTY = {
@@ -209,6 +210,17 @@ def test_leaf_classes(table):
         4, 6, 7, 9, 10, 13, 15, 17, 22, 23, 25, 29, 33, 41,
     ]
     assert integers_with_leaf_count(1, 1, table) == []
+
+
+def test_leaf_classes_past_the_automatic_factor_sieve_leave_no_sieve():
+    # one leaf forest is one path: p applied to 1 again and again (A007097);
+    # past 2**22 the smallest-factor sieve is built for the call alone
+    t = PrimeTable()
+    tower = [2]
+    while (n := t.nth_prime(tower[-1])) <= 5_000_000:
+        tower.append(n)
+    assert integers_with_leaf_count(1, 5_000_000, t) == tower
+    assert t._spf is None or len(t._spf) <= _AUTO_FACTOR_SIEVE + 1
 
 
 @pytest.mark.parametrize("depth", [14, 3000])

@@ -533,6 +533,16 @@ def _spawn(*command: str, out: str = os.devnull) -> tuple[int, int]:
     return code, maxrss_kb
 
 
+def test_leaf_class_past_the_automatic_factor_sieve_keeps_its_bytes(capsys):
+    # past 2**22 the smallest-factor sieve is built for the call alone;
+    # sha256 recorded while the table kept it
+    code, out, _ = run(capsys, "leaf-class", "2", "--max", "5000000")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "79274996d4210806886640c85cf8ba08bc01d99a786cd11c3865ad3174b9ba6b"
+    )
+
+
 def test_degree_list_23_peaks_under_100_mb():
     code, maxrss_kb = _spawn("degree-list", "23")
     assert code == 0
@@ -594,8 +604,15 @@ def test_a_command_loads_only_its_layers(line, code, absent):
 
 
 def test_only_the_bound_recheck_loads_mpmath():
+    # at 10**5 no n lies near a bound, so scan mrd rechecks none and never
+    # imports mpmath; a guard band of 1 % sends many n to the recheck
     got, loaded = json.loads(
-        _python("-c", _LOADED, '["mpmath"]', "scan", "mrd", "--max", "100").stdout
+        _python("-c", _LOADED, '["mpmath"]', "scan", "mrd", "--max", "100000").stdout
+    )
+    assert (got, loaded) == (0, [])
+    widened = "from matula import scans\nscans.GUARD_BAND = 1e-2\n" + _LOADED
+    got, loaded = json.loads(
+        _python("-c", widened, '["mpmath"]', "scan", "mrd", "--max", "100").stdout
     )
     assert (got, loaded) == (0, ["mpmath"])
 

@@ -469,6 +469,42 @@ def test_nth_primes_raises_what_the_loop_raises_first(table, data):
         assert str(exc.value) == str(expected)
 
 
+def _loop(table, ranks):
+    """``[table.nth_prime(r) for r in ranks]``, or the exception it raises."""
+    try:
+        return [table.nth_prime(r) for r in ranks]
+    except Exception as exc:  # noqa: BLE001 - compared by type and text
+        return exc
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_nth_primes_in_any_order_equals_the_loop(table, data):
+    # ascending and descending ranks are written through views of the
+    # output, others in argsort order: the same ranks in each order
+    if data.draw(st.booleans(), label="capped"):
+        cap, ranks = data.draw(_capped_ranks(table))
+        start = 0
+    else:
+        start, ranks, _ = data.draw(_rank_batches(table))
+        cap = PrimeTable().cap
+    ranks = sorted(ranks)
+    shuffled = data.draw(st.permutations(ranks))
+    for order in (ranks, ranks[::-1], shuffled):
+        expected = _loop(PrimeTable(cap=cap), order)
+        inputs = [order]
+        if all(-(2**63) <= r < 2**63 for r in order):
+            inputs.append(np.array(order, dtype=np.int64))
+        for given_ranks in inputs:
+            t = PrimeTable(min(start, cap), cap=cap)
+            if isinstance(expected, Exception):
+                with pytest.raises(type(expected)) as exc:
+                    t.nth_primes(given_ranks)
+                assert str(exc.value) == str(expected)
+            else:
+                assert t.nth_primes(given_ranks).tolist() == expected
+
+
 @pytest.mark.parametrize("cap", [1_000, 2 * _SEGMENT + 1])
 def test_nth_primes_names_the_first_rank_past_the_cap(table, cap):
     # pi(cap) < rank < the Dusart ceiling: only sieving to the cap tells

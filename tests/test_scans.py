@@ -1,11 +1,12 @@
 import json
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
 
-from matula import scans
+from matula import PrimeTable, scans
 from matula import (
     check_tuple_width_bound,
     is_admissible,
@@ -214,3 +215,116 @@ def test_rerunning_larger_keeps_exceptions(table):
     small = scan_fusion(50, 50, table).exceptions
     large = scan_fusion(150, 150, table).exceptions
     assert set(small) <= set(large)
+
+
+# -- block-wise scans against the whole-array expressions they replaced -------
+
+
+class _Doctored:
+    """A table whose first primes are replaced at chosen ranks, so that the
+    scans have exceptions to find at the edges of their blocks."""
+
+    def __init__(self, table, changes: dict[int, int]):
+        self.table, self.changes = table, changes
+
+    def first_n(self, n):
+        primes = self.table.first_n(n).copy()
+        for rank, value in self.changes.items():
+            if rank <= n:
+                primes[rank - 1] = value
+        return primes
+
+    def nth_primes(self, ranks):
+        return self.table.nth_primes(ranks)
+
+
+def _whole_array(which, n_max, table):
+    """The exceptions of one scan, from its expressions over all n at once."""
+    primes = table.first_n(n_max)
+    if which == "three-n":
+        ns = np.arange(12, n_max + 1, dtype=np.int64)
+        return [(int(n),) for n in ns[primes[11:n_max] <= 3 * ns]]
+    if which == "sousselier":
+        ns = np.arange(2, n_max + 1, dtype=np.int64)
+        p = primes[1:n_max]
+        deep = table.table.first_n(int(p.max()))[p - 1]
+        return [(int(n),) for n in ns[p * p > ns * deep]]
+    exceptions = []
+    for name, first, kind, bound in scans._SIZE_BOUNDS:
+        ns = np.arange(first, n_max + 1, dtype=np.int64)
+        b = bound(ns.astype(np.float64), np.log, float)
+        band = scans.GUARD_BAND * np.abs(b)
+        p = primes[first - 1 :].astype(np.float64)
+        fail = p < b - band if kind == "lower" else p > b + band
+        exceptions += [(name, int(n)) for n in ns[fail]]
+        with mpmath.workdps(60):
+            for i in np.flatnonzero(np.abs(p - b) <= band):
+                exact = bound(int(ns[i]), mpmath.log, mpmath.mpf)
+                pn = mpmath.mpf(int(primes[first - 1 + i]))
+                if (kind == "lower" and pn < exact) or (kind == "upper" and pn > exact):
+                    exceptions.append((name, int(ns[i])))
+    return sorted(exceptions)
+
+
+_BLOCK_SCANS = {
+    "three-n": scan_three_n,
+    "sousselier": scan_rank_ratio_monotone,
+    "mrd": scan_prime_size_bounds,
+}
+
+
+def _doctor(which, n_max, block):
+    """Ranks around every multiple of the block, and the last one, altered so
+    that the scan fails there: p_n = 3n fails three-n, p_n = 20n fails
+    sousselier (p_(20n) < (20n)^2 / n = 400n), and mrd gets p_n = n
+    (below the lower bound) and p_n = 100n (above both upper ones) in turn."""
+    edges = {r for j in range(1, n_max // block + 2) for r in (j * block - 1, j * block, j * block + 1)}
+    edges = sorted(r for r in edges | {n_max} if 13 <= r <= n_max)
+    if which == "three-n":
+        return {r: 3 * r for r in edges}
+    if which == "sousselier":
+        return {r: 20 * r for r in edges}
+    return {r: (r if i % 2 else 100 * r) for i, r in enumerate(edges)}
+
+
+@pytest.mark.parametrize("which", list(_BLOCK_SCANS))
+@pytest.mark.parametrize("block, j", [(16, 1), (16, 2), (16, 5), (scans._TABLE_BLOCK, 1), (scans._TABLE_BLOCK, 2)])
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_block_scans_equal_the_whole_array_at_block_edges(monkeypatch, table, which, block, j, offset):
+    monkeypatch.setattr(scans, "_TABLE_BLOCK", block)
+    n_max = j * block + offset
+    scan = _BLOCK_SCANS[which]
+    assert scan(n_max, table).exceptions == _whole_array(which, n_max, _Doctored(table, {})) == []
+    changes = _doctor(which, n_max, block)
+    doctored = _Doctored(table, changes)
+    expected = _whole_array(which, n_max, doctored)
+    assert {e[-1] for e in expected} == set(changes)  # each altered rank fails, no other
+    assert scan(n_max, doctored).exceptions == expected
+
+
+def test_scans_that_read_the_first_primes_trace_little_memory():
+    # with the first 10**6 primes loaded, what is left is each scan's own
+    # temporaries: a few blocks, plus sousselier's 8 MB of p_(p_n)
+    t = PrimeTable()
+    t.first_n(10**6)
+    for scan, limit_mb in (
+        (scan_rank_ratio_monotone, 16),  # 31.5 MB when compared as whole arrays
+        (scan_prime_size_bounds, 8),  # 50.2 MB
+        (scan_three_n, 4),  # 16.2 MB
+    ):
+        tracemalloc.start()
+        try:
+            assert scan(10**6, t).exceptions == []
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit_mb * 2**20, (scan.__name__, peak)
+
+
+def test_size_bounds_recheck_many_near_cases_to_the_same_exceptions(monkeypatch, table):
+    # a guard band of 1 % sends about 19,000 of the lower bound's n to the
+    # 60-digit recheck, across blocks of 1000
+    expected = scan_prime_size_bounds(20_000, table).exceptions
+    monkeypatch.setattr(scans, "_TABLE_BLOCK", 1000)
+    monkeypatch.setattr(scans, "GUARD_BAND", 1e-2)
+    assert scan_prime_size_bounds(20_000, table).exceptions == expected

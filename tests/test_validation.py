@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from matula import CapExceeded, PairingReport, PrimeTable, load_pairs, pair_range, validation_errors
 from matula import pairing
 from matula.cli import main
+from matula.primes import _AUTO_FACTOR_SIEVE
 from oracles import validation_errors_reference
 
 FIXTURE = str(Path(__file__).parent / "data" / "pairs_liouville_96.txt")
@@ -150,15 +151,25 @@ def test_load_pairs_messages_are_the_first_fault_in_line_order(text, message):
     assert str(exc.value) == message
 
 
-def test_members_past_the_automatic_factor_sieve_grow_it(table):
+def test_members_past_the_automatic_factor_sieve_are_checked(table):
     # 4194305 = 5 * 397 * 2113 lies past the sieve that factorize builds by
-    # itself (2**22), so the validator grows that sieve to reach it; its
+    # itself (2**22), so the validator sieves that far for the call; its
     # mobius sign -1 cancels that of 6 but not that of 3
     n = 4194305
     report = PairingReport(n, "mobius", "fixture", [(n, 6), (n, 3)], [], 0, 0)
     errors = validation_errors(report, table)
     assert f"pair ({n}, 3) signs do not cancel" in errors
     assert f"pair ({n}, 6) signs do not cancel" not in errors
+
+
+def test_a_sieve_past_the_automatic_one_is_not_kept():
+    # 6 * 10**6 = 2**7 * 3 * 5**6 and 5999999 = 1013 * 5923 both have an
+    # even number of prime factors; the table keeps no 23 MB sieve after
+    t = PrimeTable()
+    n = 6 * 10**6
+    report = pairing.report_from_pairs(n, "liouville", [(n, n - 1)], table=t)
+    assert validation_errors(report, t) == [f"pair ({n}, {n - 1}) signs do not cancel"]
+    assert t._spf is None or len(t._spf) <= _AUTO_FACTOR_SIEVE + 1
 
 
 def test_a_move_past_the_cap_raises_instead_of_failing_its_replay():
