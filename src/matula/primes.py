@@ -4,7 +4,8 @@ The table sieves in segments and doubles its range on demand, so callers can
 treat ``nth_prime`` / ``prime_rank`` as total functions up to a configurable
 hard cap (default 2**32).  ``nth_primes`` answers a batch of ranks past the
 table from segments sieved and dropped one at a time, so the table need not
-hold every prime below the largest answer.  Everything else in the package
+hold every prime below the largest answer; ``rank_windows`` streams the
+first primes the same way, window by window.  Everything else in the package
 consumes one shared table.
 """
 
@@ -247,6 +248,52 @@ class PrimeTable:
         if len(bad):
             raise self._rank_error(int(want[bad[0]]))
         return out
+
+    def rank_windows(
+        self, first: int, last: int, size: int
+    ) -> Iterator[tuple[int, np.ndarray]]:
+        """p_first..p_last (1 <= first <= last) as ascending windows
+        (lo, primes), primes[i] being p_(lo+i), split at the multiples of
+        ``size``.
+
+        The windows equal slices of ``first_n(last)``, and the iteration
+        raises what that call raises for a rank past the cap, but ranks past
+        the table are read from sieve segments dropped once read, so the
+        table grows only to the base primes of p_last.  Windows inside the
+        table are read-only views of it.
+        """
+        if last < 1 or last >= self._rank_ceiling:  # fails before sieving
+            raise self._rank_error(last)
+        bound = min(_nth_prime_bound(last), self.cap)
+        if last > len(self._primes):
+            self.extend_to(isqrt(bound))  # the base primes only
+        with self._lock:
+            primes, limit = self._primes, self._limit
+
+        def chunks() -> Iterator[np.ndarray]:  # p_first, p_first+1, ... ascending
+            head = primes[first - 1 : last]
+            head.flags.writeable = False
+            yield head
+            count = len(primes)
+            for found in self._segments(limit + 1, bound):
+                yield found[max(first - count - 1, 0) :]
+                count += len(found)
+
+        source, chunk, at = chunks(), primes[:0], 0
+        lo = first
+        while lo <= last:
+            hi = min((lo // size + 1) * size - 1, last)
+            parts, want = [], hi - lo + 1
+            while want:
+                if at == len(chunk):
+                    chunk, at = next(source, None), 0
+                    if chunk is None:  # the segments ran up to the cap
+                        raise self._rank_error(last)
+                parts.append(chunk[at : at + want])
+                at += len(parts[-1])
+                want -= len(parts[-1])
+            yield lo, parts[0] if len(parts) == 1 else np.concatenate(parts)
+            lo = hi + 1
 
     def first_n(self, n: int) -> np.ndarray:
         """Read-only array of the first n primes (for vectorised scans)."""

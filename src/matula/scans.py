@@ -3,7 +3,9 @@
 Every scan walks its whole parameter rectangle (no sampling) and returns a
 ScanReport whose exception list is exactly the violation set.  Integer
 comparisons are exact; only the log-based bounds use floats, with a relative
-guard band and a high-precision recheck near the boundary.
+guard band and a high-precision recheck near the boundary.  The rank-ratio
+scan settles an n in floats only where Dusart's lower bound on p_(p_n)
+proves it with the guard band to spare, and compares the rest exactly.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import nap_law_holds, value_increasing_cuts
-from .primes import PrimeTable, default_table
+from .primes import PrimeTable, _nth_prime_bound, default_table
 
 GUARD_BAND = 1e-9  # relative width of the float comparison no-man's-land
 # n per step of the scans that read the first n primes: their temporaries
@@ -44,14 +46,6 @@ class ScanReport:
         }
         doc.update(self.extra)
         return json.dumps(doc, sort_keys=True, separators=(", ", ": "))
-
-
-def _blocks(first: int, last: int):
-    """(lo, hi) windows that cover first..last, split at multiples of _TABLE_BLOCK."""
-    while first <= last:
-        hi = min((first // _TABLE_BLOCK + 1) * _TABLE_BLOCK - 1, last)
-        yield first, hi
-        first = hi + 1
 
 
 def _timed(scan):
@@ -158,14 +152,14 @@ _SIZE_BOUNDS = (
 def _float_bound_scan(
     name: str, first: int, kind: str, bound, primes: np.ndarray
 ) -> list[tuple]:
-    """Compare p_n for first <= n <= len(primes) against a bound with a guard band.
+    """Compare p_n = primes[n - first] for n >= first against a bound with a
+    guard band.
 
     kind "lower": pass means p_n >= bound; kind "upper": p_n <= bound.
     Cases within GUARD_BAND relative distance of the boundary are re-decided
     with 60-digit arithmetic.
     """
-    ns = np.arange(first, len(primes) + 1, dtype=np.int64)
-    primes = primes[first - 1 :]
+    ns = np.arange(first, first + len(primes), dtype=np.int64)
     b = bound(ns.astype(np.float64), np.log, float)
     band = GUARD_BAND * np.abs(b)
     p = primes.astype(np.float64)
@@ -199,11 +193,11 @@ def scan_prime_size_bounds(n_max: int, table: PrimeTable | None = None) -> ScanR
     if n_max < 2:
         raise ValueError(f"need n_max >= 2, got {n_max}")
     table = table or default_table()
-    primes = table.first_n(n_max)
     exceptions: list[tuple] = []
-    for name, first, kind, bound in _SIZE_BOUNDS:
-        for lo, hi in _blocks(first, n_max):
-            exceptions += _float_bound_scan(name, lo, kind, bound, primes[:hi])
+    for lo, primes in table.rank_windows(2, n_max, _TABLE_BLOCK):
+        for name, first, kind, bound in _SIZE_BOUNDS:
+            skip = max(first - lo, 0)
+            exceptions += _float_bound_scan(name, lo + skip, kind, bound, primes[skip:])
     return ScanReport(
         name="prime-size-bounds",
         range={"n_min": 2, "n_max": n_max},
@@ -215,25 +209,35 @@ def scan_prime_size_bounds(n_max: int, table: PrimeTable | None = None) -> ScanR
 def scan_rank_ratio_monotone(n_max: int, table: PrimeTable | None = None) -> ScanReport:
     """Check p_n / n <= p_(p_n) / p_n for 2 <= n <= n_max.
 
-    Compared exactly as p_n * p_n <= n * p_(p_n); no floats involved.
+    The inequality is p_n * p_n <= n * p_(p_n).  Dusart (1999) gives
+    p_m >= L(m) = m(log m + log log m - 1) for m >= 2 (the "lower" size
+    bound), so every n with p_n * p_n < n * L(p_n) * (1 - GUARD_BAND) in
+    floats holds without p_(p_n): the guard band dwarfs the float error.
+    Only the n left open (n = 2, 3, 4 up to at least 10**7) read p_(p_n)
+    from ``nth_primes`` and are compared exactly in integers.
     """
     if n_max < 2:
         raise ValueError(f"need n_max >= 2, got {n_max}")
     table = table or default_table()
-    primes = table.first_n(n_max)
-    # p_(p_n), largest rank first: a cap error then names the largest prime
-    # the scan needs
-    deep = table.nth_primes(primes[:0:-1])[::-1]
-    exceptions: list[tuple] = []
-    for lo, hi in _blocks(2, n_max):
-        ns = np.arange(lo, hi + 1, dtype=np.int64)
-        p = primes[lo - 1 : hi]
-        bad = np.flatnonzero(p * p > ns * deep[lo - 2 : hi - 1])
-        exceptions += [(int(n),) for n in ns[bad]]
+    lower = _SIZE_BOUNDS[0][3]
+    open_ns, open_ps = [], []
+    for lo, p in table.rank_windows(2, n_max, _TABLE_BLOCK):
+        ns = np.arange(lo, lo + len(p), dtype=np.int64)
+        x = p.astype(np.float64)
+        left = x * x >= ns * lower(x, np.log, float) * (1 - GUARD_BAND)
+        open_ns.append(ns[left])
+        open_ps.append(p[left])
+    top = int(p[-1])  # p_(n_max)
+    if _nth_prime_bound(top) > table.cap:
+        # p_(p_n) may lie past the cap: the largest rank the exact check
+        # could need names the error, as when it read every p_(p_n)
+        table.nth_primes([top])
+    ns, p = np.concatenate(open_ns), np.concatenate(open_ps)
+    bad = np.flatnonzero(p * p > ns * table.nth_primes(p))
     return ScanReport(
         name="rank-ratio-monotone",
         range={"n_min": 2, "n_max": n_max},
-        exceptions=exceptions,
+        exceptions=[(int(n),) for n in ns[bad]],
     )
 
 
@@ -284,13 +288,11 @@ def scan_three_n(n_max: int, table: PrimeTable | None = None) -> ScanReport:
     if n_max < 12:
         raise ValueError(f"need n_max >= 12, got {n_max}")
     table = table or default_table()
-    primes = table.first_n(n_max)
     exceptions: list[tuple] = []
-    for lo, hi in _blocks(12, n_max):
-        ns = np.arange(lo, hi + 1, dtype=np.int64)
-        bad = np.flatnonzero(primes[lo - 1 : hi] <= 3 * ns)
-        exceptions += [(int(n),) for n in ns[bad]]
-    p11 = int(primes[10])
+    for lo, p in table.rank_windows(12, n_max, _TABLE_BLOCK):
+        ns = np.arange(lo, lo + len(p), dtype=np.int64)
+        exceptions += [(int(n),) for n in ns[p <= 3 * ns]]
+    p11 = int(table.nth_primes([11])[0])
     return ScanReport(
         name="three-n",
         range={"n_min": 12, "n_max": n_max},

@@ -437,6 +437,12 @@ CAPPED = {
     "--cap 10000000 degree-list 18": (0, "", _DEGREE_18),
     "--cap 10000000 degree-list 22": (4, _past(10964837, 10000000), None),
     f"--cap 100000000 {_SOUSSELIER}": (4, _past(299839652, 100000000), None),
+    # 285058399 is p_(p_(10**6)): the bound settles almost every n, and the
+    # largest rank the exact check could need is still read, or named
+    f"--cap 285058399 {_SOUSSELIER}": (
+        0, "", "435cb9e0aa24f19b0623a1389b67d7b6519d9608127dd2ce0fdb8000d6d97dde"
+    ),
+    f"--cap 285058398 {_SOUSSELIER}": (4, _past(299839652, 285058398), None),
     "--cap 100000000 degree-list 18": (0, "", _DEGREE_18),
     "--cap 100000000 degree-list 22": (0, "", _DEGREE_22),
 }

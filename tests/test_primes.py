@@ -517,6 +517,41 @@ def test_nth_primes_names_the_first_rank_past_the_cap(table, cap):
     assert str(exc.value) == str(_first_error(PrimeTable(cap=cap), ranks))
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_rank_windows_are_the_first_primes_split_at_multiples_of_size(table, data):
+    # windows from the table, from the segments past it and across both;
+    # under a cap the iteration raises what first_n raises
+    if data.draw(st.booleans(), label="capped"):
+        cap = data.draw(st.sampled_from([2, 100, 7_919, 2 * _SEGMENT + 1]))
+        near = st.integers(_pi(table, cap) - 2, _rank_ceiling(cap) + 2)
+        last, start = data.draw(near | st.integers(-2, 3)), 0
+    else:
+        cap, start = PrimeTable().cap, data.draw(st.sampled_from([0, 5_000, _SEGMENT + 1]))
+        last = data.draw(st.integers(1, _pi(table, start + 2 * _SEGMENT)))
+    first = data.draw(st.integers(1, max(last, 1)))
+    size = data.draw(st.sampled_from([7, 1000, 1 << 15]))
+    t = PrimeTable(min(start, cap), cap=cap)
+    before = t.limit
+    try:
+        expected = PrimeTable(cap=cap).first_n(last)[first - 1 :].tolist()
+    except Exception as exc:  # noqa: BLE001 - compared by type and text
+        with pytest.raises(type(exc)) as got:
+            list(t.rank_windows(first, last, size))
+        assert str(got.value) == str(exc)
+        return
+    raw = list(t.rank_windows(first, last, size))
+    # the windows inside the table are views of it, and read-only
+    assert not any(p.flags.writeable for lo, p in raw if lo + len(p) <= t.count + 1)
+    windows = [(lo, p.tolist()) for lo, p in raw]
+    assert [p for _, window in windows for p in window] == expected
+    his = [lo + len(window) - 1 for lo, window in windows]
+    assert [lo for lo, _ in windows] == [first, *(hi + 1 for hi in his)][:-1]
+    assert all(lo // size == hi // size for (lo, _), hi in zip(windows, his))
+    assert all((hi + 1) % size == 0 for hi in his[:-1])  # no window is cut short
+    assert t.limit <= max(before, 2 * (isqrt(_nth_prime_bound(last) - 1) + 1), 1024)
+
+
 def test_nth_primes_past_int64_is_past_the_cap():
     t = PrimeTable()
     with pytest.raises(CapExceeded, match=r"~2\*\*\d+, beyond"):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from matula import PrimeTable, scans
+from matula.primes import _nth_prime_bound
 from matula import (
     check_tuple_width_bound,
     is_admissible,
@@ -114,7 +115,7 @@ def test_size_bound_recheck_decides_near_cases(monkeypatch, failing):
     # 60-digit recheck; primes one step past the bound must all fail there
     monkeypatch.setattr(scans, "GUARD_BAND", 1.0)
     for name, first, kind, bound in scans._SIZE_BOUNDS:
-        fake = [0] * (first - 1)
+        fake = []  # p_first, p_first+1, ...
         with mpmath.workdps(60):
             for n in range(first, 300):
                 exact = bound(n, mpmath.log, mpmath.mpf)
@@ -226,6 +227,7 @@ class _Doctored:
 
     def __init__(self, table, changes: dict[int, int]):
         self.table, self.changes = table, changes
+        self.cap = table.cap
 
     def first_n(self, n):
         primes = self.table.first_n(n).copy()
@@ -233,6 +235,14 @@ class _Doctored:
             if rank <= n:
                 primes[rank - 1] = value
         return primes
+
+    def rank_windows(self, first, last, size):
+        for lo, primes in self.table.rank_windows(first, last, size):
+            primes = primes.copy()
+            for rank, value in self.changes.items():
+                if lo <= rank < lo + len(primes):
+                    primes[rank - lo] = value
+            yield lo, primes
 
     def nth_primes(self, ranks):
         return self.table.nth_primes(ranks)
@@ -300,15 +310,44 @@ def test_block_scans_equal_the_whole_array_at_block_edges(monkeypatch, table, wh
     expected = _whole_array(which, n_max, doctored)
     assert {e[-1] for e in expected} == set(changes)  # each altered rank fails, no other
     assert scan(n_max, doctored).exceptions == expected
+    if which == "sousselier":  # every n by the exact route: the same exceptions
+        monkeypatch.setattr(scans, "GUARD_BAND", 1.0)
+        assert scan(n_max, doctored).exceptions == expected
+
+
+@pytest.mark.parametrize("scan, n, p", [(scan_three_n, 12, 36), (scan_rank_ratio_monotone, 2, 4)])
+def test_the_first_n_of_a_scan_is_checked(table, scan, n, p):
+    # p_12 = 36 would fail three-n, p_2 = 4 sousselier (16 > 2 * p_4 = 14)
+    assert scan(n, _Doctored(table, {n: p})).exceptions == [(n,)]
+
+
+def test_sousselier_by_the_bound_equals_the_exact_route(monkeypatch):
+    # the bound leaves only n = 2, 3, 4 open; a guard band of 1 leaves every
+    # n open, so each reads p_(p_n) and is compared exactly
+    t = PrimeTable()
+    asked, nth_primes = [], t.nth_primes
+    monkeypatch.setattr(t, "nth_primes", lambda ranks: asked.append(list(ranks)) or nth_primes(ranks))
+    fast = scan_rank_ratio_monotone(200_000, t).exceptions
+    assert asked == [[3, 5, 7]]
+    asked.clear()
+    monkeypatch.setattr(scans, "GUARD_BAND", 1.0)
+    assert scan_rank_ratio_monotone(200_000, t).exceptions == fast == []
+    assert asked == [t.first_n(200_000)[1:].tolist()]
+
+
+def test_sousselier_grows_the_table_no_further_than_p_n():
+    t = PrimeTable()
+    assert scan_rank_ratio_monotone(10**6, t).exceptions == []
+    assert t.limit <= _nth_prime_bound(10**6)  # p_(p_(10**6)) is 285,058,399
 
 
 def test_scans_that_read_the_first_primes_trace_little_memory():
     # with the first 10**6 primes loaded, what is left is each scan's own
-    # temporaries: a few blocks, plus sousselier's 8 MB of p_(p_n)
+    # temporaries, a few blocks long
     t = PrimeTable()
     t.first_n(10**6)
     for scan, limit_mb in (
-        (scan_rank_ratio_monotone, 16),  # 31.5 MB when compared as whole arrays
+        (scan_rank_ratio_monotone, 4),  # 31.5 MB when compared as whole arrays
         (scan_prime_size_bounds, 8),  # 50.2 MB
         (scan_three_n, 4),  # 16.2 MB
     ):
