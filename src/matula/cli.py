@@ -300,11 +300,13 @@ def _run(args: argparse.Namespace) -> int:
 
         report = pairing.pair_range(args.n, args.mode, args.policy, table)
         if args.format == "json":
-            print(report.to_json())
+            report.write_json(sys.stdout)
+            print()
         else:
+            pairs, singletons = report.counts()
             print(
                 f"N={report.n} mode={report.mode} policy={report.policy} "
-                f"pairs={len(report.pairs)} singletons={len(report.singletons)} "
+                f"pairs={pairs} singletons={singletons} "
                 f"bound={report.bound} exact={report.exact}"
             )
 
@@ -312,20 +314,21 @@ def _run(args: argparse.Namespace) -> int:
         from . import pairing
 
         with open(args.file, "r", encoding="utf-8") as fh:
-            pairs = pairing.load_pairs(fh.read())
-        report = pairing.report_from_pairs(args.max, args.mode, pairs, table=table)
+            rows = pairing._pair_rows(fh.read())
+        report = pairing.report_from_pairs(args.max, args.mode, rows, table=table)
         errors = pairing.validation_errors(report, table)
         if args.format == "json":
-            print(report.to_json())
+            report.write_json(sys.stdout)
+            print()
         if errors:
             for e in errors:
                 print(f"invalid: {e}", file=sys.stderr)
             return 3
         if args.format != "json":
+            pairs, singletons = report.counts()
             print(
-                f"valid: {len(report.pairs)} pairs, "
-                f"{len(report.singletons)} singletons, bound={report.bound}, "
-                f"exact={report.exact}"
+                f"valid: {pairs} pairs, {singletons} singletons, "
+                f"bound={report.bound}, exact={report.exact}"
             )
 
     return 0

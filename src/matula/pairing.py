@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from itertools import chain
 from operator import itemgetter
+from typing import TextIO
 
 import numpy as np
 
@@ -270,6 +271,9 @@ def _greedy_rows(edge_k: np.ndarray, edge_l: np.ndarray, free: bytearray) -> lis
 
 # -- the pairing engine ---------------------------------------------------------
 
+_LAZY = ("pairs", "singletons", "move_log")  # the fields a column report builds on demand
+_CHUNK = 1 << 14  # rows (or integers of the singleton mask) per piece of JSON text
+
 
 @dataclass
 class PairingReport:
@@ -279,6 +283,12 @@ class PairingReport:
     unpaired members of the pairable universe (1 is always among them) and
     bound is the absolute signed count of the singletons, an upper bound for
     the summatory function's absolute value at n.
+
+    ``pair_range`` and ``report_from_pairs`` make reports that keep their
+    pairs as int64 rows and their singletons as a mask; ``pairs``,
+    ``singletons`` and ``move_log`` are built from these when first read and
+    kept from then on.  Until one of them is built, ``to_json``,
+    ``write_json``, ``counts`` and ``validation_errors`` read the columns.
     """
 
     n: int
@@ -290,25 +300,108 @@ class PairingReport:
     exact: int
     move_log: dict[int, dict] = field(default_factory=dict)
 
+    @classmethod
+    def _from_columns(
+        cls,
+        n: int,
+        mode: str,
+        policy: str,
+        rows: np.ndarray,
+        unpaired: np.ndarray,
+        signs: np.ndarray,
+    ) -> PairingReport:
+        """A report whose pairs are the rows of an int64 array, k, l and,
+        with five columns, the move x, y, z of ``_block_edges`` (each k in
+        one row, as ``move_log`` keeps one move per k); its singletons are
+        marked in the bool ``unpaired`` (indexed by k, False at 0); bound
+        and exact sum come from signs."""
+        report = cls.__new__(cls)
+        vars(report).update(
+            n=n,
+            mode=mode,
+            policy=policy,
+            bound=abs(int(signs[unpaired].sum())),
+            exact=int(signs.sum()),
+            _columns=(rows, unpaired),
+        )
+        return report
+
+    def __getattr__(self, name: str):
+        # reached only for an attribute the instance lacks: build a field of
+        # a column report
+        columns = vars(self).get("_columns")
+        if columns is None or name not in _LAZY:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        rows, unpaired = columns
+        if name == "pairs":
+            value = list(zip(rows[:, 0].tolist(), rows[:, 1].tolist()))
+        elif name == "singletons":
+            value = np.flatnonzero(unpaired).tolist()
+        else:
+            value = {k: mv for k, _, mv in _row_moves(rows)}
+        setattr(self, name, value)
+        return value
+
+    def _column_view(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """(rows, unpaired) while none of the lazy fields is built, else None."""
+        fields = vars(self)
+        if any(name in fields for name in _LAZY):
+            return None
+        return fields.get("_columns")
+
+    def counts(self) -> tuple[int, int]:
+        """(number of pairs, number of singletons), without building either list."""
+        columns = self._column_view()
+        if columns is None:
+            return len(self.pairs), len(self.singletons)
+        rows, unpaired = columns
+        return len(rows), int(np.count_nonzero(unpaired))
+
     def to_json(self, with_moves: bool = True) -> str:
         """``json.dumps(doc, sort_keys=True, separators=(", ", ": "))`` of the
         report, with the entries of an int-keyed move log written directly."""
-        head = _dumps({"N": self.n, "bound": self.bound, "exact": self.exact, "mode": self.mode})
+        columns = self._column_view()
+        if columns is not None:
+            return "".join(_column_json(self, *columns, with_moves))
+        head = _json_head(self)
         pairs = self.pairs  # json writes a tuple as list(p) would be written
         if type(pairs) is not list or not all(isinstance(p, (list, tuple)) for p in pairs):
             pairs = [list(p) for p in pairs]
         tail = _dumps({"pairs": pairs, "policy": self.policy, "singletons": self.singletons})
         moves = self.move_log if with_moves else {}
         if not moves:
-            return f"{head[:-1]}, {tail[1:]}"
+            return f"{head}, {tail[1:]}"
         if all(type(k) is int for k in moves):  # keys in string order: "10" < "2"
             log = ", ".join(f'"{k}": {_move_json(moves[k])}' for k in sorted(moves, key=str))
         else:
             log = _dumps({str(k): mv for k, mv in moves.items()})[1:-1]
-        return f'{head[:-1]}, "move_log": {{{log}}}, {tail[1:]}'
+        return f'{head}, "move_log": {{{log}}}, {tail[1:]}'
+
+    def write_json(self, out: TextIO, with_moves: bool = True) -> None:
+        """Write ``to_json()``'s text to ``out``; a column report writes it
+        in pieces of ``_CHUNK`` rows and never holds all of it."""
+        columns = self._column_view()
+        if columns is None:
+            out.write(self.to_json(with_moves))
+        else:
+            out.writelines(_column_json(self, *columns, with_moves))
 
 
 _dumps = partial(json.dumps, sort_keys=True, separators=(", ", ": "))  # the report's JSON form
+
+
+def _json_head(report: PairingReport) -> str:
+    """The report's JSON up to its "mode" entry, without the closing brace."""
+    doc = {"N": report.n, "bound": report.bound, "exact": report.exact, "mode": report.mode}
+    return _dumps(doc)[:-1]
+
+
+def _cut_json(q: int, s: int, r: int) -> str:
+    return f'{{"detached": {s}, "factor": {q}, "kind": "cut", "remaining": {r}}}'
+
+
+def _fusion_json(q: int, r: int) -> str:
+    return f'{{"kind": "fusion", "left": {q}, "right": {r}}}'
 
 
 def _move_json(mv: dict) -> str:
@@ -316,12 +409,70 @@ def _move_json(mv: dict) -> str:
     if type(mv) is dict and mv.get("kind") == "cut" and len(mv) == 4:
         q, s, r = mv.get("factor"), mv.get("detached"), mv.get("remaining")
         if type(q) is type(s) is type(r) is int:
-            return f'{{"detached": {s}, "factor": {q}, "kind": "cut", "remaining": {r}}}'
+            return _cut_json(q, s, r)
     elif type(mv) is dict and mv.get("kind") == "fusion" and len(mv) == 3:
         q, r = mv.get("left"), mv.get("right")
         if type(q) is type(r) is int:
-            return f'{{"kind": "fusion", "left": {q}, "right": {r}}}'
+            return _fusion_json(q, r)
     return _dumps(mv)
+
+
+def _row_moves(rows: np.ndarray) -> Iterator[tuple[int, int, dict]]:
+    """(k, l, move-log entry) of each row of a five-column array, in row
+    order; nothing for a two-column one."""
+    if rows.shape[1] < 5:
+        return
+    for start in range(0, len(rows), _CHUNK):
+        for k, l, x, y, z in rows[start : start + _CHUNK].tolist():
+            yield k, l, _move_dict(x, y, z)
+
+
+def _decimal_order(keys: np.ndarray) -> np.ndarray:
+    """Indices that put positive int64 keys in the order of their decimal
+    strings: by the digits padded with zeros to a common length, then by
+    length (a key whose digits are a prefix of another's comes first)."""
+    keys = keys.astype(np.uint64)  # 10**19 > 2**63: pad without overflow
+    digits = np.searchsorted(10 ** np.arange(1, 20, dtype=np.uint64), keys, side="right") + 1
+    padded = keys * (10 ** (digits.max(initial=1) - digits)).astype(np.uint64)
+    return np.lexsort((digits, padded))
+
+
+def _joined(pieces: Iterator[str]) -> Iterator[str]:
+    """The non-empty pieces, each after the first led by ', '."""
+    sep = ""
+    for piece in pieces:
+        if piece:
+            yield sep + piece
+            sep = ", "
+
+
+def _column_json(
+    report: PairingReport, rows: np.ndarray, unpaired: np.ndarray, with_moves: bool
+) -> Iterator[str]:
+    """``to_json()``'s text of a column report, in pieces of ``_CHUNK`` rows."""
+    yield _json_head(report)
+    if with_moves and rows.shape[1] == 5 and len(rows):
+        yield ', "move_log": {'
+        order = _decimal_order(rows[:, 0])
+        yield from _joined(
+            ", ".join(
+                f'"{k}": {_cut_json(x, y, z) if z else _fusion_json(x, y)}'
+                for k, _, x, y, z in rows[order[start : start + _CHUNK]].tolist()
+            )
+            for start in range(0, len(rows), _CHUNK)
+        )
+        yield "}"
+    yield ', "pairs": ['
+    yield from _joined(
+        ", ".join(f"[{k}, {l}]" for k, l in rows[start : start + _CHUNK, :2].tolist())
+        for start in range(0, len(rows), _CHUNK)
+    )
+    yield f'], "policy": {_dumps(report.policy)}, "singletons": ['
+    yield from _joined(
+        ", ".join(map(str, (np.flatnonzero(unpaired[lo : lo + _CHUNK]) + lo).tolist()))
+        for lo in range(0, len(unpaired), _CHUNK)
+    )
+    yield "]}"
 
 
 def pair_range(
@@ -339,11 +490,12 @@ def pair_range(
     1..n instead of one factorization each.  They come as arrays, one block
     of k at a time (``_block_edges``, from ``PrimeTable.factor_blocks`` and
     one table of the cuts of every prime <= n); each k still free reads its
-    run of edges up to the first free partner (``_greedy_rows``), and only
-    the chosen move becomes a move-log dict.  A block that raises a ``MatulaError`` is redone with
-    every later one by the per-k search, which raises what it raises.  A
-    number whose candidates are all taken becomes a singleton; no
-    backtracking is attempted.  Deterministic for fixed (n, mode, policy).
+    run of edges up to the first free partner (``_greedy_rows``), and the
+    chosen rows k, l, x, y, z go into one int64 array in the order taken.  A
+    block that raises a ``MatulaError`` is redone with every later one by
+    the per-k search, which raises what it raises.  A number whose
+    candidates are all taken becomes a singleton; no backtracking is
+    attempted.  Deterministic for fixed (n, mode, policy).
     """
     _check_mode(mode)
     if policy not in POLICIES:
@@ -353,15 +505,9 @@ def pair_range(
     table = table or default_table()
     signs = _signs(n, mode, table)
     free = bytearray((signs != 0).tobytes())  # 1 while k has a sign and no partner
-    pairs: list[tuple[int, int]] = []
-    move_log: dict[int, dict] = {}
-
-    def take(k: int, l: int, x: int, y: int, z: int) -> None:
-        free[k] = free[l] = 0
-        pairs.append((k, l))
-        move_log[k] = _move_dict(x, y, z)
-
-    live = np.frombuffer(free, dtype=np.uint8)  # a view: sees every take
+    live = np.frombuffer(free, dtype=np.bool_)  # a view: sees every take
+    rows = np.empty((np.count_nonzero(live) // 2, 5), dtype=np.int64)  # a pair takes two
+    m = 0  # rows taken
     top = n  # every k above top is settled
     try:
         primes = table.primes_up_to(n)
@@ -369,9 +515,10 @@ def pair_range(
         while top >= 2:
             lo = max(top // _PAIR_BLOCK * _PAIR_BLOCK, 2)
             edges = _block_edges(lo, top, policy, live, primes, cut_table, table)
-            rows = _greedy_rows(edges[0], edges[1], free)
-            for edge in zip(*(col[rows].tolist() for col in edges)):
-                take(*edge)
+            taken = _greedy_rows(edges[0], edges[1], free)
+            for j, col in enumerate(edges):
+                rows[m : m + len(taken), j] = col[taken]
+            m += len(taken)
             top = lo - 1
     except MatulaError:
         pass
@@ -382,36 +529,15 @@ def pair_range(
         if not moves:
             continue
         if policy == "largest":
-            take(k, *max(moves, key=itemgetter(0)))
+            move = max(moves, key=itemgetter(0))
         elif policy == "smallest":
-            take(k, *min(moves, key=itemgetter(0)))
+            move = min(moves, key=itemgetter(0))
         else:  # first in generation order
-            take(k, *moves[0])
-    return _report(n, mode, policy, pairs, signs, move_log, live)
-
-
-def _report(
-    n: int,
-    mode: str,
-    policy: str,
-    pairs: list,
-    signs: np.ndarray,
-    move_log: dict,
-    unpaired: np.ndarray,
-) -> PairingReport:
-    """Report a pairing of 1..n whose singletons are marked in ``unpaired``
-    (indexed by k); bound and exact sum come from signs."""
-    singletons = np.flatnonzero(unpaired)
-    return PairingReport(
-        n=n,
-        mode=mode,
-        policy=policy,
-        pairs=pairs,
-        singletons=singletons.tolist(),
-        bound=abs(int(signs[singletons].sum())),
-        exact=int(signs.sum()),
-        move_log=move_log,
-    )
+            move = moves[0]
+        free[k] = free[move[0]] = 0
+        rows[m] = k, *move
+        m += 1
+    return PairingReport._from_columns(n, mode, policy, rows[:m], live, signs)
 
 
 # -- validation ------------------------------------------------------------------
@@ -424,16 +550,25 @@ def validation_errors(
 
     Array passes over the members (those outside 1..n stay Python ints); each
     pair's signs come from ``PrimeTable.omega_parity``, not the block sieve,
-    so the smallest-factor sieve grows to the largest member inside 1..n.
+    so the smallest-factor sieve grows to the largest member inside 1..n.  A
+    column report's members are read from its rows and its singletons from
+    its mask, which holds each once and only inside 1..n.
     """
     table = table or default_table()
     if report.mode not in MODES:
         return [f"unknown mode {report.mode!r}"]
     n, mode = report.n, report.mode
     signs = _signs(n, mode, table)
-    flat = [m for k, l in report.pairs for m in (k, l)]
-    paired = len(flat)
-    flat.extend(report.singletons)
+    columns = report._column_view()
+    if columns is None:
+        flat = [m for k, l in report.pairs for m in (k, l)]
+        paired = len(flat)
+        flat.extend(report.singletons)
+        single = None
+    else:
+        rows, single = columns
+        flat = rows[:, :2].reshape(-1)
+        paired = len(flat)
     try:
         values = np.array(flat, dtype=np.int64)
     except OverflowError:  # a member past int64 is outside 1..n
@@ -471,17 +606,23 @@ def validation_errors(
             errs.append(f"singleton {flat[j]} outside 1..{n}")
         else:
             errs.append(f"{flat[j]} appears both paired and as a singleton")
+    total = int(signs[values[paired:]].sum())
+    if single is not None:
+        again = np.flatnonzero(single & seen).tolist()
+        errs.extend(f"{m} appears both paired and as a singleton" for m in again)
+        seen |= single
+        total += int(signs[single].sum())
 
     universe = signs != 0
     missing = np.flatnonzero(universe & ~seen)[:10].tolist()
     alien = np.flatnonzero(seen & ~universe)[:10].tolist()
-    alien = sorted({*alien, *(flat[j] for j in np.flatnonzero(~inside).tolist())})
+    alien = sorted({*alien, *(int(flat[j]) for j in np.flatnonzero(~inside).tolist())})
     if missing:
         errs.append(f"universe members unaccounted for: {missing}")
     if alien:
         errs.append(f"members outside the pairable universe: {alien[:10]}")
 
-    bound = abs(int(signs[values[paired:]].sum()))
+    bound = abs(total)
     if report.bound != bound:
         errs.append(f"bound {report.bound} != recomputed {bound}")
     exact = int(signs.sum())
@@ -490,9 +631,12 @@ def validation_errors(
     if abs(exact) > bound:
         errs.append(f"|summatory| {abs(exact)} exceeds bound {bound}")
 
+    if columns is None:
+        moves = ((k, l, report.move_log.get(k)) for k, l in report.pairs)
+    else:
+        moves = _row_moves(rows)
     memo: dict[tuple, object] = {}  # one replay per distinct move
-    for k, l in report.pairs:
-        mv = report.move_log.get(k)
+    for k, l, mv in moves:
         if mv is None:
             continue
         if _replay_move(k, mv, table, memo) != l:
@@ -539,33 +683,75 @@ def validate_report(report: PairingReport, table: PrimeTable | None = None) -> b
 
 # -- fixtures ----------------------------------------------------------------------
 
+_PARSE_LINES = 1 << 14  # lines of a pair list split and converted at a time
+
+
+def _pair_rows(text: str) -> np.ndarray:
+    """The pairs of a hand-written list, two integers per line and '#'
+    comments, as an (m, 2) int64 array; an object array of Python ints when
+    a member is past int64.  Errors are those of ``load_pairs``."""
+    lines = text.splitlines()
+    comments = "#" in text
+    chunks = [np.empty(0, dtype=np.int64)]
+    for start in range(0, len(lines), _PARSE_LINES):
+        part = lines[start : start + _PARSE_LINES]
+        rows = list(map(str.split, [line.split("#", 1)[0] for line in part] if comments else part))
+        bad = len(rows)
+        if not set(map(len, rows)) <= {0, 2}:
+            bad = next(i for i, parts in enumerate(rows) if len(parts) not in (0, 2))
+        numbers = list(map(int, chain.from_iterable(rows[:bad])))  # raises as int() does
+        if bad < len(rows):
+            raise ValueError(f"line {start + bad + 1}: expected two integers, got {part[bad]!r}")
+        try:
+            chunks.append(np.array(numbers, dtype=np.int64))
+        except OverflowError:
+            chunks.append(np.array(numbers, dtype=object))
+    return np.concatenate(chunks).reshape(-1, 2)
+
 
 def load_pairs(text: str) -> list[tuple[int, int]]:
     """Parse a hand-written pair list: two integers per line, '#' comments."""
-    lines = text.splitlines()
-    rows = list(map(str.split, [line.split("#", 1)[0] for line in lines] if "#" in text else lines))
-    bad = len(rows)
-    if not set(map(len, rows)) <= {0, 2}:
-        bad = next(i for i, parts in enumerate(rows) if len(parts) not in (0, 2))
-    numbers = list(map(int, chain.from_iterable(rows[:bad])))  # raises as int() does
-    if bad < len(rows):
-        raise ValueError(f"line {bad + 1}: expected two integers, got {lines[bad]!r}")
-    return list(zip(numbers[::2], numbers[1::2]))
+    return list(map(tuple, _pair_rows(text).tolist()))
 
 
 def report_from_pairs(
     n: int,
     mode: str,
-    pairs: list[tuple[int, int]],
+    pairs: list[tuple[int, int]] | np.ndarray,
     policy: str = "fixture",
     table: PrimeTable | None = None,
 ) -> PairingReport:
-    """Wrap an externally supplied pairing of 1..n into a checkable report."""
+    """Wrap an externally supplied pairing of 1..n into a checkable report.
+
+    ``pairs`` may also be an (m, 2) array, as ``_pair_rows`` parses it.
+    Pairs of int64 members make a column report; others a list report.
+    """
     _check_mode(mode)
     if n < 1:
         raise ValueError(f"report_from_pairs expects n >= 1, got {n}")
     table = table or default_table()
     signs = _signs(n, mode, table)
     taken = np.zeros(n + 1, dtype=bool)  # members outside 1..n are the validator's
-    taken[[m for pair in pairs for m in pair if 1 <= m <= n]] = True
-    return _report(n, mode, policy, list(pairs), signs, {}, (signs != 0) & ~taken)
+    rows = _int64_rows(pairs)
+    if rows is None:  # a member past int64, or not pairs of integers
+        pairs = list(map(tuple, pairs.tolist())) if isinstance(pairs, np.ndarray) else list(pairs)
+        taken[[m for pair in pairs for m in pair if 1 <= m <= n]] = True
+        unpaired = np.flatnonzero((signs != 0) & ~taken)
+        bound = abs(int(signs[unpaired].sum()))
+        return PairingReport(n, mode, policy, pairs, unpaired.tolist(), bound, int(signs.sum()))
+    members = rows.reshape(-1)
+    taken[members[(members >= 1) & (members <= n)]] = True
+    return PairingReport._from_columns(n, mode, policy, rows, (signs != 0) & ~taken, signs)
+
+
+def _int64_rows(pairs) -> np.ndarray | None:
+    """pairs as an (m, 2) int64 array, or None if they do not make one."""
+    if len(pairs) == 0:
+        return np.empty((0, 2), dtype=np.int64)
+    try:
+        rows = np.asarray(pairs)
+    except ValueError:  # pairs of unequal lengths
+        return None
+    if rows.dtype != np.int64 or rows.ndim != 2 or rows.shape[1] != 2:
+        return None
+    return rows

@@ -6,6 +6,8 @@ second, structurally different computation path.
 """
 
 import contextlib
+import json
+from itertools import chain
 from math import isqrt
 
 import numpy as np
@@ -185,3 +187,34 @@ def validation_errors_reference(report: PairingReport, table=None) -> list[str]:
         if _replay_move(k, mv, table) != l:
             errs.append(f"move log for {k} does not reach {l}: {mv}")
     return errs
+
+
+def report_json_reference(report: PairingReport, with_moves: bool = True) -> str:
+    """``PairingReport.to_json`` as it was: one ``json.dumps`` of the whole
+    document built from the report's list fields."""
+    doc = {
+        "N": report.n,
+        "mode": report.mode,
+        "policy": report.policy,
+        "pairs": [list(p) for p in report.pairs],
+        "singletons": report.singletons,
+        "bound": report.bound,
+        "exact": report.exact,
+    }
+    if with_moves and report.move_log:
+        doc["move_log"] = {str(k): mv for k, mv in report.move_log.items()}
+    return json.dumps(doc, sort_keys=True, separators=(", ", ": "))
+
+
+def load_pairs_reference(text: str) -> list[tuple[int, int]]:
+    """``pairing.load_pairs`` as it was: the whole text split into a list per
+    line, then converted with ``int``."""
+    lines = text.splitlines()
+    rows = list(map(str.split, [line.split("#", 1)[0] for line in lines] if "#" in text else lines))
+    bad = len(rows)
+    if not set(map(len, rows)) <= {0, 2}:
+        bad = next(i for i, parts in enumerate(rows) if len(parts) not in (0, 2))
+    numbers = list(map(int, chain.from_iterable(rows[:bad])))  # raises as int() does
+    if bad < len(rows):
+        raise ValueError(f"line {bad + 1}: expected two integers, got {lines[bad]!r}")
+    return list(zip(numbers[::2], numbers[1::2]))

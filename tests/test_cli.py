@@ -731,7 +731,7 @@ REACHES = {
     "summatory": ["summatory"],
     "partners": ["is_squarefree", "partner_candidates", "partner_moves"],
     "pair": ["pair_range"],
-    "validate-pairs": ["load_pairs", "report_from_pairs", "validation_errors"],
+    "validate-pairs": ["report_from_pairs", "validation_errors"],
 }
 
 RUNS = {
@@ -761,6 +761,8 @@ RUNS = {
 NO_CLI_ROUTE = {
     "default_table",  # wiring: the CLI builds its own table
     "validate_report",  # a boolean view of validation_errors, which validate-pairs prints
+    # the list form of the parser validate-pairs runs (pairing._pair_rows, an array)
+    "load_pairs",
     # one integer's sign: every command reads signs from a sieve array instead
     "factor_count",
     "liouville",

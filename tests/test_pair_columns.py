@@ -1,0 +1,258 @@
+"""Column reports against the list reports they stand for.
+
+``pair_range`` and ``report_from_pairs`` keep a pairing as int64 rows and a
+singleton mask, and build ``pairs``, ``singletons`` and ``move_log`` when
+first read.  These tests hold such reports to the dataclass contract (``==``,
+``replace()``, ``repr``), to the JSON of ``oracles.report_json_reference``
+before and after a field is built and mutated, to the per-member validator
+in ``oracles``, and the CLI's streamed stdout to ``to_json()`` and a newline.
+The pair-list parser is checked against the loader it replaced.
+"""
+
+import io
+import os
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from matula import PairingReport, PrimeTable, load_pairs, pair_range, report_from_pairs
+from matula import pairing, validation_errors
+from matula.cli import main
+from oracles import load_pairs_reference, report_json_reference, validation_errors_reference
+
+MODES = ("liouville", "mobius")
+POLICIES = ("largest", "smallest", "first")
+LAZY = ("pairs", "singletons", "move_log")
+
+
+def _built(report):
+    return [name for name in LAZY if name in vars(report)]
+
+
+def _difference(got, expected):
+    """None when the texts are equal, else where they first differ: a short
+    message in place of pytest's diff, which takes minutes on a 1 MB line."""
+    if got == expected:
+        return None
+    i = len(os.path.commonprefix([got, expected]))
+    return f"{len(got)} and {len(expected)} characters, apart from {i}: {got[i : i + 40]!r}"
+
+
+def _stdout(capsys, *argv):
+    assert main(list(argv)) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    return out
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("n", [1, 2, 3, 1000, 10**5])
+def test_pair_stdout_is_the_list_reports_json_and_a_newline(capsys, table, mode, policy, n):
+    out = _stdout(capsys, "pair", str(n), "--mode", mode, "--policy", policy, "--format", "json")
+    columns = pair_range(n, mode, policy, table)
+    assert _difference(columns.to_json() + "\n", out) is None and not _built(columns)
+    lists = replace(columns)  # reads every field, so the copy holds lists
+    assert not hasattr(lists, "_columns")
+    assert _difference(out, lists.to_json() + "\n") is None
+    text = _stdout(capsys, "pair", str(n), "--mode", mode, "--policy", policy)
+    assert f" pairs={len(lists.pairs)} singletons={len(lists.singletons)} " in text
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("mode", MODES)
+def test_the_capped_window_streams_what_the_per_k_search_took(capsys, mode, policy):
+    # under --cap 1000 the block search fails at once; the per-k search fills
+    # the same rows
+    for n in range(1001, 1009):
+        argv = ["pair", str(n), "--mode", mode, "--policy", policy, "--format", "json"]
+        out = _stdout(capsys, "--cap", "1000", *argv)
+        report = replace(pair_range(n, mode, policy, PrimeTable(cap=1000)))
+        assert out == report.to_json() + "\n", n  # under 30 KB
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_column_report_equals_its_list_report(table, mode):
+    columns, lists = pair_range(1000, mode), replace(pair_range(1000, mode))
+    assert columns.counts() == (len(lists.pairs), len(lists.singletons))
+    assert validation_errors(columns, table) == [] and not _built(columns)
+    assert columns == lists and lists == columns
+    assert _built(columns) == list(LAZY)
+    assert repr(columns) == repr(lists)
+    assert columns != replace(lists, pairs=lists.pairs[::-1])
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_json_chunks_join_to_the_reference_at_any_chunk_size(monkeypatch, mode):
+    monkeypatch.setattr(pairing, "_CHUNK", 7)
+    for n in (1, 2, 10, 13, 100, 300):
+        for with_moves in (True, False):
+            report = pair_range(n, mode, "smallest")
+            out = io.StringIO()
+            report.write_json(out, with_moves)
+            assert out.getvalue() == report.to_json(with_moves)
+            assert out.getvalue() == report_json_reference(report, with_moves), (n, with_moves)
+
+
+def _mutate_pairs(report):
+    report.pairs.pop()
+
+
+def _mutate_singletons(report):
+    report.singletons.append(report.pairs[0][0])
+
+
+def _mutate_move_log(report):
+    k = report.pairs[0][0]
+    report.move_log[k] = {"kind": "fusion", "left": 2, "right": 2}
+
+
+@pytest.mark.parametrize("mutate", [_mutate_pairs, _mutate_singletons, _mutate_move_log])
+def test_to_json_and_validation_read_a_built_and_mutated_field(table, mutate):
+    report = pair_range(300, "liouville")
+    mutate(report)
+    out = io.StringIO()
+    report.write_json(out)
+    assert out.getvalue() == report.to_json() == report_json_reference(report)
+    counts = report.counts()
+    assert counts == (len(report.pairs), len(report.singletons))
+    errors = validation_errors(report, table)
+    assert errors and errors == validation_errors_reference(report, table)
+
+
+def test_replace_mutants_of_a_column_report_fail_validation(table):
+    report = pair_range(1000, "mobius", "first", table)
+    (k, l), m = report.pairs[0], report.singletons[-1]
+    mutants = [
+        replace(report, bound=report.bound + 1),
+        replace(report, exact=report.exact - 1),
+        replace(report, pairs=report.pairs[1:]),
+        replace(report, pairs=[(l, k), *report.pairs[1:]]),
+        replace(report, singletons=[*report.singletons, k]),
+        replace(report, singletons=report.singletons[:-1], pairs=[*report.pairs, (m, 1)]),
+        replace(report, move_log={**report.move_log, k: {"kind": "cut"}}),
+    ]
+    for mutant in mutants:
+        assert mutant != report
+        errors = validation_errors(mutant, table)
+        assert errors and errors == validation_errors_reference(mutant, table), mutant
+    assert validation_errors(report, table) == []
+    assert report == replace(pair_range(1000, "mobius", "first", table))
+
+
+MEMBERS = st.integers(-5, 130)
+
+
+@st.composite
+def columns(draw):
+    """n, mode, rows and singleton mask of a column report of 1..n as
+    ``validation_errors`` may meet one: pairs drawn, or rows of a greedy
+    pairing, some dropped, reordered or given another move, and a mask drawn
+    apart from them.  (The report is built in the test: printing it would
+    build its lists.)"""
+    table = PrimeTable()
+    n = draw(st.integers(1, 120))
+    mode = draw(st.sampled_from(MODES))
+    if draw(st.booleans()):
+        greedy = pair_range(n, mode, "largest", table)
+        rows = greedy._columns[0]
+        if len(rows):
+            rows = rows[draw(st.lists(st.integers(0, len(rows) - 1), unique=True))]
+        if len(rows) and draw(st.booleans()):
+            move = draw(st.sampled_from([(3, 2, 0), (5, 2, 2)]))
+            rows[draw(st.integers(0, len(rows) - 1)), 2:] = move
+    else:
+        pairs = draw(st.lists(st.tuples(MEMBERS, MEMBERS), max_size=20))
+        rows = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    mask = np.array([False] + draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    return n, mode, rows, mask
+
+
+@settings(max_examples=200, deadline=None)
+@given(columns())
+def test_validation_of_columns_matches_the_per_member_loop(table, drawn):
+    n, mode, rows, mask = drawn
+    signs = pairing._signs(n, mode, table)
+    report = PairingReport._from_columns(n, mode, "fixture", rows, mask, signs)
+    got = validation_errors(report, table)
+    assert not _built(report)  # the columns were read
+    assert got == validation_errors_reference(report, table)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 150),
+    st.sampled_from(MODES),
+    st.lists(st.tuples(MEMBERS, MEMBERS), max_size=20),
+)
+def test_report_from_pairs_array_and_list_give_one_report(table, n, mode, pairs):
+    lists = report_from_pairs(n, mode, pairs, table=table)
+    rows = report_from_pairs(n, mode, np.array(pairs, dtype=np.int64).reshape(-1, 2), table=table)
+    assert rows.to_json() == lists.to_json()
+    assert validation_errors(rows, table) == validation_errors(lists, table)
+    assert rows == lists
+
+
+def test_report_from_pairs_keeps_members_past_int64_as_python_ints(table):
+    big = 2**63
+    report = report_from_pairs(10, "liouville", [(big, 3), (10, 5)], table=table)
+    assert report.pairs == [(big, 3), (10, 5)] and not hasattr(report, "_columns")
+    assert f"pair member {big} outside 1..10" in validation_errors(report, table)
+
+
+# lines of a pair list: blank, comments, members of every size, and faults
+NUMBER = st.one_of(
+    st.integers(-1000, 10**6),
+    st.sampled_from([2**63 - 1, -(2**63), 2**63, -(2**63) - 1, 10**30]),
+).map(str)
+LINE = st.one_of(
+    st.just(""),
+    st.sampled_from([" ", "\t", "# a comment", "  # 1 2"]),
+    st.builds(
+        lambda a, b, c: f"{a} {b}{c}", NUMBER, NUMBER, st.sampled_from(["", " ", "  # c", "#7"])
+    ),
+    st.builds(lambda a: a, NUMBER),
+    st.builds(lambda a, b, c: f"{a} {b} {c}", NUMBER, NUMBER, NUMBER),
+    st.sampled_from(["1 x", "1.5 2", "0x10 3", "1_000 2"]),
+)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("lines_per_chunk", [2, pairing._PARSE_LINES])
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(LINE, st.sampled_from(["\n", "\r\n", "\r"])), max_size=12),
+    st.booleans(),
+)
+def test_the_pair_parser_matches_the_list_loader(lines_per_chunk, lines, last_newline):
+    text = "".join(line + end for line, end in lines)
+    if lines and not last_newline:
+        text = text[: -len(lines[-1][1])]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pairing, "_PARSE_LINES", lines_per_chunk)
+        expected = _outcome(load_pairs_reference, text)
+        assert _outcome(load_pairs, text) == expected
+        if isinstance(expected, list):
+            rows = pairing._pair_rows(text)
+            assert rows.shape == (len(expected), 2)
+            fits = all(-(2**63) <= m < 2**63 for pair in expected for m in pair)
+            assert rows.dtype == (np.int64 if fits else object)
+            assert list(map(tuple, rows.tolist())) == expected
+
+
+def test_the_pair_parser_on_empty_text_and_a_late_fault(monkeypatch):
+    assert pairing._pair_rows("").shape == (0, 2) and pairing._pair_rows("").dtype == np.int64
+    assert load_pairs("# only\n\n") == []
+    monkeypatch.setattr(pairing, "_PARSE_LINES", 4)
+    text = "1 2\n" * 9 + "3\n"
+    with pytest.raises(ValueError, match=r"^line 10: expected two integers, got '3'$"):
+        load_pairs(text)

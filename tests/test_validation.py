@@ -5,7 +5,6 @@ of the same document, and ``load_pairs`` against its own text."""
 
 import contextlib
 import io
-import json
 from dataclasses import replace
 from pathlib import Path
 
@@ -17,7 +16,7 @@ from matula import CapExceeded, PairingReport, PrimeTable, load_pairs, pair_rang
 from matula import pairing
 from matula.cli import main
 from matula.primes import _AUTO_FACTOR_SIEVE
-from oracles import validation_errors_reference
+from oracles import report_json_reference, validation_errors_reference
 
 FIXTURE = str(Path(__file__).parent / "data" / "pairs_liouville_96.txt")
 
@@ -74,22 +73,6 @@ def test_validate_pairs_runs_one_sign_sieve(monkeypatch):
     assert len(passes) == 1
 
 
-def _dumps(report, with_moves=True):
-    """``to_json`` as it was: one ``json.dumps`` of the whole document."""
-    doc = {
-        "N": report.n,
-        "mode": report.mode,
-        "policy": report.policy,
-        "pairs": [list(p) for p in report.pairs],
-        "singletons": report.singletons,
-        "bound": report.bound,
-        "exact": report.exact,
-    }
-    if with_moves and report.move_log:
-        doc["move_log"] = {str(k): mv for k, mv in report.move_log.items()}
-    return json.dumps(doc, sort_keys=True, separators=(", ", ": "))
-
-
 SCALARS = st.one_of(st.integers(), st.booleans(), st.none(), st.text(max_size=4))
 VALUES = st.integers() | SCALARS  # mostly ints, as ``_move_dict`` writes them
 MOVES = st.one_of(
@@ -124,7 +107,7 @@ MOVES = st.one_of(
     st.booleans(),
 )
 def test_to_json_is_json_dumps_of_the_report(report, with_moves):
-    assert report.to_json(with_moves) == _dumps(report, with_moves)
+    assert report.to_json(with_moves) == report_json_reference(report, with_moves)
 
 
 def test_load_pairs_round_trips_text_with_comments_and_blank_lines():
