@@ -13,7 +13,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from itertools import chain
-from operator import itemgetter
+from operator import index, itemgetter
 from typing import TextIO
 
 import numpy as np
@@ -285,10 +285,13 @@ class PairingReport:
     the summatory function's absolute value at n.
 
     ``pair_range`` and ``report_from_pairs`` make reports that keep their
-    pairs as int64 rows and their singletons as a mask; ``pairs``,
+    pairs as int64 rows (an object array of Python ints when a supplied
+    member is past int64) and their singletons as a mask; ``pairs``,
     ``singletons`` and ``move_log`` are built from these when first read and
     kept from then on.  Until one of them is built, ``to_json``,
     ``write_json``, ``counts`` and ``validation_errors`` read the columns.
+    Only the constructor and ``replace()`` make a report that holds lists
+    from the start.
     """
 
     n: int
@@ -310,11 +313,12 @@ class PairingReport:
         unpaired: np.ndarray,
         signs: np.ndarray,
     ) -> PairingReport:
-        """A report whose pairs are the rows of an int64 array, k, l and,
-        with five columns, the move x, y, z of ``_block_edges`` (each k in
-        one row, as ``move_log`` keeps one move per k); its singletons are
-        marked in the bool ``unpaired`` (indexed by k, False at 0); bound
-        and exact sum come from signs."""
+        """A report whose pairs are the rows of an int64 array (or of an
+        object array of Python ints), k, l and, with five columns, the move
+        x, y, z of ``_block_edges`` (each k in one row, as ``move_log``
+        keeps one move per k); its singletons are marked in the bool
+        ``unpaired`` (indexed by k, False at 0); bound and exact sum come
+        from signs."""
         report = cls.__new__(cls)
         vars(report).update(
             n=n,
@@ -359,23 +363,15 @@ class PairingReport:
 
     def to_json(self, with_moves: bool = True) -> str:
         """``json.dumps(doc, sort_keys=True, separators=(", ", ": "))`` of the
-        report, with the entries of an int-keyed move log written directly."""
+        report, with the move log's keys written as ``str(k)``."""
         columns = self._column_view()
         if columns is not None:
             return "".join(_column_json(self, *columns, with_moves))
-        head = _json_head(self)
-        pairs = self.pairs  # json writes a tuple as list(p) would be written
-        if type(pairs) is not list or not all(isinstance(p, (list, tuple)) for p in pairs):
-            pairs = [list(p) for p in pairs]
-        tail = _dumps({"pairs": pairs, "policy": self.policy, "singletons": self.singletons})
-        moves = self.move_log if with_moves else {}
-        if not moves:
-            return f"{head}, {tail[1:]}"
-        if all(type(k) is int for k in moves):  # keys in string order: "10" < "2"
-            log = ", ".join(f'"{k}": {_move_json(moves[k])}' for k in sorted(moves, key=str))
-        else:
-            log = _dumps({str(k): mv for k, mv in moves.items()})[1:-1]
-        return f'{head}, "move_log": {{{log}}}, {tail[1:]}'
+        doc = {"N": self.n, "bound": self.bound, "exact": self.exact, "mode": self.mode}
+        doc.update(pairs=self.pairs, policy=self.policy, singletons=self.singletons)
+        if with_moves and self.move_log:
+            doc["move_log"] = {str(k): mv for k, mv in self.move_log.items()}
+        return _dumps(doc)
 
     def write_json(self, out: TextIO, with_moves: bool = True) -> None:
         """Write ``to_json()``'s text to ``out``; a column report writes it
@@ -390,31 +386,12 @@ class PairingReport:
 _dumps = partial(json.dumps, sort_keys=True, separators=(", ", ": "))  # the report's JSON form
 
 
-def _json_head(report: PairingReport) -> str:
-    """The report's JSON up to its "mode" entry, without the closing brace."""
-    doc = {"N": report.n, "bound": report.bound, "exact": report.exact, "mode": report.mode}
-    return _dumps(doc)[:-1]
-
-
 def _cut_json(q: int, s: int, r: int) -> str:
     return f'{{"detached": {s}, "factor": {q}, "kind": "cut", "remaining": {r}}}'
 
 
 def _fusion_json(q: int, r: int) -> str:
     return f'{{"kind": "fusion", "left": {q}, "right": {r}}}'
-
-
-def _move_json(mv: dict) -> str:
-    """``_dumps(mv)`` of a move-log entry, by hand for the two shapes ``_move_dict`` makes."""
-    if type(mv) is dict and mv.get("kind") == "cut" and len(mv) == 4:
-        q, s, r = mv.get("factor"), mv.get("detached"), mv.get("remaining")
-        if type(q) is type(s) is type(r) is int:
-            return _cut_json(q, s, r)
-    elif type(mv) is dict and mv.get("kind") == "fusion" and len(mv) == 3:
-        q, r = mv.get("left"), mv.get("right")
-        if type(q) is type(r) is int:
-            return _fusion_json(q, r)
-    return _dumps(mv)
 
 
 def _row_moves(rows: np.ndarray) -> Iterator[tuple[int, int, dict]]:
@@ -450,7 +427,8 @@ def _column_json(
     report: PairingReport, rows: np.ndarray, unpaired: np.ndarray, with_moves: bool
 ) -> Iterator[str]:
     """``to_json()``'s text of a column report, in pieces of ``_CHUNK`` rows."""
-    yield _json_head(report)
+    doc = {"N": report.n, "bound": report.bound, "exact": report.exact, "mode": report.mode}
+    yield _dumps(doc)[:-1]  # without the closing brace
     if with_moves and rows.shape[1] == 5 and len(rows):
         yield ', "move_log": {'
         order = _decimal_order(rows[:, 0])
@@ -723,35 +701,38 @@ def report_from_pairs(
 ) -> PairingReport:
     """Wrap an externally supplied pairing of 1..n into a checkable report.
 
-    ``pairs`` may also be an (m, 2) array, as ``_pair_rows`` parses it.
-    Pairs of int64 members make a column report; others a list report.
+    ``pairs`` may also be an (m, 2) array, as ``_pair_rows`` parses it.  The
+    report keeps them as rows, int64 when every member fits and else an
+    object array of Python ints, and builds its lists only when they are
+    read.  A row that is not two integers raises ``ValueError`` before the
+    sign sieve runs.
     """
     _check_mode(mode)
     if n < 1:
         raise ValueError(f"report_from_pairs expects n >= 1, got {n}")
+    rows = _member_rows(pairs)
     table = table or default_table()
     signs = _signs(n, mode, table)
-    taken = np.zeros(n + 1, dtype=bool)  # members outside 1..n are the validator's
-    rows = _int64_rows(pairs)
-    if rows is None:  # a member past int64, or not pairs of integers
-        pairs = list(map(tuple, pairs.tolist())) if isinstance(pairs, np.ndarray) else list(pairs)
-        taken[[m for pair in pairs for m in pair if 1 <= m <= n]] = True
-        unpaired = np.flatnonzero((signs != 0) & ~taken)
-        bound = abs(int(signs[unpaired].sum()))
-        return PairingReport(n, mode, policy, pairs, unpaired.tolist(), bound, int(signs.sum()))
     members = rows.reshape(-1)
-    taken[members[(members >= 1) & (members <= n)]] = True
+    taken = np.zeros(n + 1, dtype=bool)  # members outside 1..n are the validator's
+    taken[members[(members >= 1) & (members <= n)].astype(np.int64)] = True
     return PairingReport._from_columns(n, mode, policy, rows, (signs != 0) & ~taken, signs)
 
 
-def _int64_rows(pairs) -> np.ndarray | None:
-    """pairs as an (m, 2) int64 array, or None if they do not make one."""
-    if len(pairs) == 0:
-        return np.empty((0, 2), dtype=np.int64)
+def _member_rows(pairs) -> np.ndarray:
+    """pairs as an (m, 2) int64 array, or an object array of Python ints when
+    a member is past int64; a ValueError names the first row that is not two
+    integers."""
+    if isinstance(pairs, np.ndarray) and pairs.dtype == np.int64 and pairs.shape[1:] == (2,):
+        return pairs
+    checked = []
+    for i, row in enumerate(pairs.tolist() if isinstance(pairs, np.ndarray) else pairs):
+        try:
+            k, l = map(index, row)
+        except (TypeError, ValueError):
+            raise ValueError(f"pairs[{i}] is not two integers: {row!r}") from None
+        checked.append((k, l))
     try:
-        rows = np.asarray(pairs)
-    except ValueError:  # pairs of unequal lengths
-        return None
-    if rows.dtype != np.int64 or rows.ndim != 2 or rows.shape[1] != 2:
-        return None
-    return rows
+        return np.array(checked, dtype=np.int64).reshape(-1, 2)
+    except OverflowError:
+        return np.array(checked, dtype=object).reshape(-1, 2)

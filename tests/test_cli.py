@@ -320,6 +320,37 @@ def test_validate_pairs_json_bytes_are_pinned(capsys, tmp_path):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# exit code and sha256 of stdout and of stderr, recorded while a member past
+# int64 made report_from_pairs build a list report
+@pytest.mark.parametrize(
+    "form, expected",
+    [
+        (
+            [],
+            (
+                3,
+                "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+                "9c2490e60db459d0937e200737091f8d0d43bfe329f21a45cc519bd83fd33ccc",
+            ),
+        ),
+        (
+            ["--format", "json"],
+            (
+                3,
+                "520dc8e121a1d45cdc023f1dc1600261e01fab2175d5518cdaca621aa2b0386a",
+                "9c2490e60db459d0937e200737091f8d0d43bfe329f21a45cc519bd83fd33ccc",
+            ),
+        ),
+    ],
+)
+def test_validate_pairs_bytes_past_int64_are_pinned(capsys, tmp_path, form, expected):
+    fixture = tmp_path / "past.txt"
+    fixture.write_text(f"{2**63} 3\n10 5\n{10**20} 7\n6 4\n")  # (6, 4): both signs +1
+    code, out, err = run(capsys, "validate-pairs", str(fixture), "--max", "10", *form)
+    digests = [hashlib.sha256(text.encode()).hexdigest() for text in (out, err)]
+    assert (code, *digests) == expected
+
+
 @pytest.mark.parametrize("leaves", [40, 15000])
 def test_number_of_past_the_cap_exits_4_before_sieving(capsys, leaves):
     # the root's prime has index 2**leaves, far past the 2**32 cap
@@ -563,6 +594,14 @@ def test_validate_pairs_at_ten_million_stays_bounded(tmp_path):
     # 1484 MB while the validator kept Python sets of every member; about
     # 400 MB of what is left is the report's list of 9,999,904 singletons
     assert maxrss_kb < 800 * 1024
+
+
+def test_validate_pairs_past_int64_at_ten_million_stays_bounded(tmp_path):
+    fixture = tmp_path / "past.txt"
+    fixture.write_text(Path(FIXTURE).read_text() + f"{10**20} 3\n")
+    code, maxrss_kb = _spawn("validate-pairs", str(fixture), "--max", "10000000")
+    assert code == 3
+    assert maxrss_kb < 150 * 1024  # 1005 MB while the member made a list report
 
 
 # Runs one command, its stdout dropped, and prints its exit code and which of

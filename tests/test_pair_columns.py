@@ -1,8 +1,8 @@
 """Column reports against the list reports they stand for.
 
-``pair_range`` and ``report_from_pairs`` keep a pairing as int64 rows and a
-singleton mask, and build ``pairs``, ``singletons`` and ``move_log`` when
-first read.  These tests hold such reports to the dataclass contract (``==``,
+``pair_range`` and ``report_from_pairs`` keep a pairing as int64 rows (object
+rows of Python ints past int64) and a singleton mask, and build ``pairs``,
+``singletons`` and ``move_log`` when first read.  These tests hold such reports to the dataclass contract (``==``,
 ``replace()``, ``repr``), to the JSON of ``oracles.report_json_reference``
 before and after a field is built and mutated, to the per-member validator
 in ``oracles``, and the CLI's streamed stdout to ``to_json()`` and a newline.
@@ -182,25 +182,68 @@ def test_validation_of_columns_matches_the_per_member_loop(table, drawn):
     assert got == validation_errors_reference(report, table)
 
 
+# members of pairs as a fixture may hold them: some far past int64
+WIDE = st.one_of(MEMBERS, st.sampled_from([2**63 - 1, 2**63, 10**20, -(2**63) - 1]))
+
+
+def _list_report(n, mode, pairs, table):
+    """The report of ``report_from_pairs`` built by the constructor, its
+    singletons and sums from one sign per k."""
+    signs = {k: pairing.sign_of(k, mode, table) for k in range(1, n + 1)}
+    taken = {m for pair in pairs for m in pair}
+    singletons = [k for k, sign in signs.items() if sign and k not in taken]
+    bound = abs(sum(signs[k] for k in singletons))
+    return PairingReport(n, mode, "fixture", pairs, singletons, bound, sum(signs.values()))
+
+
 @settings(max_examples=100, deadline=None)
-@given(
-    st.integers(1, 150),
-    st.sampled_from(MODES),
-    st.lists(st.tuples(MEMBERS, MEMBERS), max_size=20),
-)
+@given(st.integers(1, 150), st.sampled_from(MODES), st.lists(st.tuples(WIDE, WIDE), max_size=20))
 def test_report_from_pairs_array_and_list_give_one_report(table, n, mode, pairs):
-    lists = report_from_pairs(n, mode, pairs, table=table)
-    rows = report_from_pairs(n, mode, np.array(pairs, dtype=np.int64).reshape(-1, 2), table=table)
-    assert rows.to_json() == lists.to_json()
-    assert validation_errors(rows, table) == validation_errors(lists, table)
-    assert rows == lists
+    lists = _list_report(n, mode, pairs, table)
+    fits = all(-(2**63) <= m < 2**63 for pair in pairs for m in pair)
+    array = np.array(pairs, dtype=np.int64 if fits else object).reshape(-1, 2)
+    for given_pairs in (pairs, array):
+        rows = report_from_pairs(n, mode, given_pairs, table=table)
+        assert rows._columns[0].dtype == (np.int64 if fits else object)
+        assert rows.to_json() == lists.to_json()
+        out = io.StringIO()
+        rows.write_json(out)
+        assert out.getvalue() == lists.to_json()
+        assert rows.counts() == lists.counts()
+        errors = validation_errors(rows, table)
+        assert not _built(rows)  # counts, write_json and the validator read the rows
+        assert errors == validation_errors(lists, table) == validation_errors_reference(lists, table)
+        assert rows == lists and lists == rows
 
 
 def test_report_from_pairs_keeps_members_past_int64_as_python_ints(table):
     big = 2**63
     report = report_from_pairs(10, "liouville", [(big, 3), (10, 5)], table=table)
-    assert report.pairs == [(big, 3), (10, 5)] and not hasattr(report, "_columns")
+    assert report.pairs == [(big, 3), (10, 5)]
     assert f"pair member {big} outside 1..10" in validation_errors(report, table)
+
+
+@pytest.mark.parametrize(
+    "pairs, row",
+    [
+        ([(10, 5), (1, 2, 3)], "pairs[1] is not two integers: (1, 2, 3)"),
+        ([(10,)], "pairs[0] is not two integers: (10,)"),
+        ([(10, 5), [9, 4], 7], "pairs[2] is not two integers: 7"),
+        ([(10, 5), ("a", 2)], "pairs[1] is not two integers: ('a', 2)"),
+        ([(10, 2.0)], "pairs[0] is not two integers: (10, 2.0)"),
+        (np.array([[10, 5, 1]], dtype=np.int64), "pairs[0] is not two integers: [10, 5, 1]"),
+        (np.array([10, 5], dtype=np.int64), "pairs[0] is not two integers: 10"),
+        (np.array([[10.0, 5.0]]), "pairs[0] is not two integers: [10.0, 5.0]"),
+    ],
+)
+def test_report_from_pairs_names_the_first_malformed_row(monkeypatch, table, pairs, row):
+    def no_sieve(*args):
+        raise AssertionError("the sign sieve ran")
+
+    monkeypatch.setattr(pairing, "_signs", no_sieve)
+    with pytest.raises(ValueError) as exc:
+        report_from_pairs(10, "liouville", pairs, table=table)
+    assert str(exc.value) == row
 
 
 # lines of a pair list: blank, comments, members of every size, and faults
