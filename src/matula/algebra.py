@@ -99,9 +99,9 @@ def _cut_table(
 
     The cuts of p_m are the root cuts (d, p_{m/d}) and the relayed cuts
     (s, p_{(m/d) r}), for each prime d | m and each cut (s, r) of d.  A cut
-    leaves a smaller tree (r < d), so every rank read is below m.  The ranks
-    are filled in ascending blocks that end below both 2 lo and p_lo, so
-    each d | m has its cuts from an earlier block.
+    leaves a smaller tree (r < d), so every rank read is below m, inside
+    ``primes``.  The ranks are filled in ascending blocks that end below
+    both 2 lo and p_lo, so each d | m has its cuts from an earlier block.
     """
     offsets = np.zeros(len(primes) + 1, dtype=np.int64)
     detached = remaining = np.empty(0, dtype=np.int64)
@@ -115,7 +115,9 @@ def _cut_table(
         owner, i = _spans(offsets[rank - 1], offsets[rank] - offsets[rank - 1])
         who = np.concatenate([m, m[owner]])
         s = np.concatenate([d, detached[i]])
-        r = table.nth_primes(np.concatenate([m // d, (m // d)[owner] * remaining[i]]))
+        at = np.concatenate([m // d, (m // d)[owner] * remaining[i]])
+        at -= 1  # ranks to indices in place: the block's largest array
+        r = primes[at]
         order = np.lexsort((r, s, who))
         who, s, r = who[order], s[order], r[order]
         new = np.ones(len(who), dtype=bool)

@@ -117,7 +117,8 @@ def _moves(
 
     ``factors`` is k's factorization; x, y, z encode the move as the columns
     of ``_block_edges`` do.  Each factor's prime rank is looked up once, so a
-    fusion costs one ``nth_prime`` call.
+    fusion costs one ``nth_prime`` call, skipped when the fused prime passes
+    the cap and q * r does not: then it exceeds q * r, so l > k.
     """
     for q, _e in factors:
         if q < 3:
@@ -132,7 +133,12 @@ def _moves(
             if j == i and e < 2:
                 continue
             r = factors[j][0]
-            l = (k // (q * r)) * table.nth_prime(ranks[i] * ranks[j])
+            try:
+                l = (k // (q * r)) * table.nth_prime(ranks[i] * ranks[j])
+            except CapExceeded:
+                if q * r > table.cap:
+                    raise
+                continue
             if l < k:
                 yield l, q, r, 0
 
@@ -204,7 +210,8 @@ def _block_edges(
 
     The order is k descending, then the policy's key on l, then ``_moves``'
     generation order.  A cut of factor x into y * z has z >= 2; a fusion of
-    x and y has z = 0.  Raises what ``nth_primes`` raises on a fusion's rank.
+    x and y has z = 0.  ``primes`` holds the primes up to n >= hi, so a
+    fusion rank past it gives a prime above n >= q_a * q_b: dropped unread.
     """
     offsets, detached, remaining = cut_table
     _, rest, powers = next(table.factor_blocks(lo, hi, _PAIR_BLOCK))
@@ -229,7 +236,9 @@ def _block_edges(
     a, b = np.concatenate(firsts), np.concatenate(seconds)
     order = np.lexsort((b, a))
     a, b = a[order], b[order]
-    fused = table.nth_primes(rank[a] * rank[b])
+    inside = rank[a] * rank[b] <= len(primes)
+    a, b = a[inside], b[inside]
+    fused = primes[rank[a] * rank[b] - 1]
     product = q[a] * q[b]
     shrinks = fused < product
     a, b, fused, product = a[shrinks], b[shrinks], fused[shrinks], product[shrinks]
@@ -469,9 +478,10 @@ def pair_range(
     of k at a time (``_block_edges``, from ``PrimeTable.factor_blocks`` and
     one table of the cuts of every prime <= n); each k still free reads its
     run of edges up to the first free partner (``_greedy_rows``), and the
-    chosen rows k, l, x, y, z go into one int64 array in the order taken.  A
-    block that raises a ``MatulaError`` is redone with every later one by
-    the per-k search, which raises what it raises.  A number whose
+    chosen rows k, l, x, y, z go into one int64 array in the order taken.
+    When the primes up to n pass the cap (or a block raises a
+    ``MatulaError``), the per-k search pairs from there down; it raises only
+    where a prime the answer needs passes the cap.  A number whose
     candidates are all taken becomes a singleton; no backtracking is
     attempted.  Deterministic for fixed (n, mode, policy).
     """

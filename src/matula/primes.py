@@ -2,11 +2,11 @@
 
 The table sieves in segments and doubles its range on demand, so callers can
 treat ``nth_prime`` / ``prime_rank`` as total functions up to a configurable
-hard cap (default 2**32).  ``nth_primes`` answers a batch of ranks past the
-table from segments sieved and dropped one at a time, so the table need not
-hold every prime below the largest answer; ``rank_windows`` streams the
-first primes the same way, window by window.  Everything else in the package
-consumes one shared table.
+hard cap (default 2**32).  ``nth_primes`` (a batch of ranks) and
+``rank_windows`` (the first primes, window by window) read the ranks past
+the table from segments sieved and dropped one at a time, so the table need
+not hold every prime below the largest answer.  Everything else in the
+package consumes one shared table.
 """
 
 from __future__ import annotations
@@ -184,23 +184,30 @@ class PrimeTable:
         """The n-th prime, 1-based (nth_prime(1) == 2)."""
         if n < 1 or n >= self._rank_ceiling:  # the latter fails before sieving
             raise self._rank_error(n)
-        while n > len(self._primes):
-            if self._limit >= self.cap:
+        if n > len(self._primes):
+            self.extend_to(min(_nth_prime_bound(n), self.cap))
+            if n > len(self._primes):  # the bound passes p_n: p_n > cap
                 raise self._rank_error(n)
-            bound = max(_nth_prime_bound(n), 2 * self._limit)
-            self.extend_to(min(bound, self.cap))
         return int(self._primes[n - 1])
+
+    def _past_table(self, top: int) -> tuple[np.ndarray, Iterator[np.ndarray]]:
+        """A snapshot of the table, and the segments after it up to a bound
+        on p_top or the cap; the table grows only to their base primes."""
+        bound = min(_nth_prime_bound(top), self.cap)
+        if top > len(self._primes):
+            self.extend_to(isqrt(bound))
+        with self._lock:
+            primes, limit = self._primes, self._limit
+        return primes, self._segments(limit + 1, bound)
 
     def nth_primes(self, ranks: Sequence[int] | np.ndarray) -> np.ndarray:
         """The primes of the given 1-based ranks, in the order given.
 
         Equal to ``[nth_prime(r) for r in ranks]``, and raises what that loop
         would raise first, but the table grows only to the base primes of
-        the largest rank.  Ranks past the table are picked out of further
-        sieve segments by a running count; each segment is dropped once read.
-        Ascending or descending ranks are written through a view of the
-        output, so they cost no index array; others are visited in
-        ``argsort`` order.
+        the largest rank.  Ranks inside the table are read from it; the
+        others are visited in ``argsort`` order and picked out of further
+        sieve segments by a running count (``_past_table``).
         """
         try:
             want = np.asarray(ranks, dtype=np.int64)
@@ -211,34 +218,18 @@ class PrimeTable:
             raise self._rank_error(ranks[i]) from None
         bad = np.flatnonzero((want < 1) | (want >= self._rank_ceiling))
         head = want[: bad[0]] if len(bad) else want
-        top = int(head.max(initial=0))
-        bound = min(_nth_prime_bound(top), self.cap)
-        if top > len(self._primes):
-            self.extend_to(isqrt(bound))  # the base primes only
-        with self._lock:
-            primes, limit = self._primes, self._limit
+        primes, segments = self._past_table(int(head.max(initial=0)))
         out = np.empty(len(head), dtype=np.int64)
-        # ascending ranks as they come, descending ones through reversed views
-        rising = len(head) == 0 or head[0] <= head[-1]
-        ranks, dst = (head, out) if rising else (head[::-1], out[::-1])
-        if (ranks[1:] >= ranks[:-1]).all():
-            split = bisect_right(ranks, len(primes))  # the ranks inside the table
-            dst[:split] = primes[ranks[:split] - 1]
-            past, dst, order = ranks[split:], dst[split:], None
-        else:
-            inside = head <= len(primes)
-            out[inside] = primes[head[inside] - 1]
-            order = np.flatnonzero(~inside)
-            order = order[np.argsort(head[order], kind="stable")]
-            past, dst = head[order], out
-        # past: the ranks past the table, ascending; the i-th goes to dst[i],
-        # or to out[order[i]] when the input was neither ascending nor descending
+        inside = head <= len(primes)
+        out[inside] = primes[head[inside] - 1]
+        order = np.flatnonzero(~inside)
+        order = order[np.argsort(head[order], kind="stable")]
+        past = head[order]  # ascending; the i-th goes to out[order[i]]
         if len(past):
             count, done = len(primes), 0
-            for found in self._segments(limit + 1, bound):
+            for found in segments:
                 end = bisect_right(past, count + len(found), done)
-                at = slice(done, end) if order is None else order[done:end]
-                dst[at] = found[past[done:end] - count - 1]
+                out[order[done:end]] = found[past[done:end] - count - 1]
                 count += len(found)
                 done = end
                 if done == len(past):
@@ -264,18 +255,14 @@ class PrimeTable:
         """
         if last < 1 or last >= self._rank_ceiling:  # fails before sieving
             raise self._rank_error(last)
-        bound = min(_nth_prime_bound(last), self.cap)
-        if last > len(self._primes):
-            self.extend_to(isqrt(bound))  # the base primes only
-        with self._lock:
-            primes, limit = self._primes, self._limit
+        primes, segments = self._past_table(last)
 
         def chunks() -> Iterator[np.ndarray]:  # p_first, p_first+1, ... ascending
             head = primes[first - 1 : last]
             head.flags.writeable = False
             yield head
             count = len(primes)
-            for found in self._segments(limit + 1, bound):
+            for found in segments:
                 yield found[max(first - count - 1, 0) :]
                 count += len(found)
 

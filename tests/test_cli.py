@@ -476,6 +476,23 @@ CAPPED = {
     f"--cap 285058398 {_SOUSSELIER}": (4, _past(299839652, 285058398), None),
     "--cap 100000000 degree-list 18": (0, "", _DEGREE_18),
     "--cap 100000000 degree-list 22": (0, "", _DEGREE_22),
+    # 35 = 5 * 7 fuses to p_12 = 37 and 49 = 7 * 7 to p_16 = 53: past --cap N
+    # and above the product, so no partner needs them; each prints the
+    # uncapped stdout, recorded without a cap
+    "--cap 35 pair 35 --format json": (0, "", "cdb96b6de30eef944f778cd81b137e9215ed3d1c3fde7009491059df8025c267"),
+    "--cap 36 pair 36 --format json": (0, "", "4740070c09dfdee2651a840c60a19c4145c21b205053de7c1805fae98ebee24e"),
+    "--cap 49 pair 49 --format json": (0, "", "d74ed3815e78a15c4fa4893020953d5913f6ebc3c3d5f4e8f4284b0324f4bf0b"),
+    "--cap 50 pair 50 --format json": (0, "", "12a7ad1ebb28b8a74ab664b3135f3eb5d99dc5408b60e9fd24433813b1434357"),
+    "--cap 51 pair 51 --format json": (0, "", "1be7174e4bdf572d432aaf5c7903476223f8acede3f942eb292d6a1a57daa2f8"),
+    "--cap 52 pair 52 --format json": (0, "", "411e72942287a2280a9ddc17dffcbe1edcf53e4a1725a545e4d45c15d45bd69b"),
+    "--cap 35 pair 35 --mode mobius --format json": (
+        0, "", "9d5c0e66b555830cd98934ca1ec1e18384b22a3d9f91dc4012945465abb29614"
+    ),
+    "--cap 36 pair 36 --mode mobius --format json": (
+        0, "", "cb9f71f8e7b6f028e88f87a7203bcaaa15852b7b25de4f5aea3cceea0241b12d"
+    ),
+    "--cap 35 partners 35": (0, "", "f4ccd05b3271c386ee55d9876c7450012a3b361e5065c09dc22075e38b3cc35c"),
+    "--cap 49 partners 49": (0, "", "084c799cd551dd1d8d5c5f9a5d593b2e931f5e36122ee5c793c1d08a19839cc0"),
 }
 
 

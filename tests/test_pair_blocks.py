@@ -11,12 +11,12 @@ import contextlib
 import hashlib
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from matula import PrimeTable, pair_range
 from matula import pairing
-from matula.algebra import _ordered_cuts
+from matula.algebra import _ordered_cuts, value_increasing_cuts
 from matula.errors import CapExceeded
 
 MODES = ("liouville", "mobius")
@@ -63,11 +63,20 @@ _N = st.one_of(
 )
 
 
+# a cap just around n leaves fused primes past it that no partner needs
+_N_CAP = _N.flatmap(
+    lambda n: st.tuples(st.just(n), st.one_of(st.integers(1, 5 * _B), st.integers(n - 2, n + 8)))
+)
+
+
 @pytest.mark.parametrize("policy", POLICIES)
 @pytest.mark.parametrize("mode", MODES)
 @settings(max_examples=40, deadline=None)
-@given(n=_N, cap=st.integers(1, 5 * _B))
-def test_pair_range_matches_the_per_k_search(mode, policy, n, cap):
+@given(n_cap=_N_CAP)
+@example(n_cap=(35, 35))  # 5 * 7 fuses to p_12 = 37
+@example(n_cap=(49, 52))  # 7 * 7 fuses to p_16 = 53
+def test_pair_range_matches_the_per_k_search(mode, policy, n_cap):
+    n, cap = n_cap
     blocks = _outcome(n, mode, policy, cap)
     with _per_k_only():
         per_k = _outcome(n, mode, policy, cap)
@@ -100,6 +109,26 @@ def test_a_failing_block_is_redone_with_every_later_one(mode, policy):
         assert pair_range(n, mode, policy, table).to_json() == expected
     # the per-k search starts at the top of the failing block, not above it
     assert failing < max(factorized) <= 2 * failing - 1
+
+
+def test_block_search_and_cut_table_read_ranks_from_the_primes_up_to_n(monkeypatch):
+    # a fusion rank past pi(n) fuses to a prime above n, and a cut's ranks are
+    # below the cut prime's, so neither path asks the streaming reader
+    n = 3000
+    expected = {
+        (mode, policy): pair_range(n, mode, policy, PrimeTable()).to_json()
+        for mode in MODES
+        for policy in POLICIES
+    }
+    cuts = value_increasing_cuts(n, PrimeTable())
+
+    def refuse(self, ranks):  # not a MatulaError: no fallback may hide it
+        raise AssertionError(f"nth_primes asked for {list(ranks)}")
+
+    monkeypatch.setattr(PrimeTable, "nth_primes", refuse)
+    for (mode, policy), text in expected.items():
+        assert pair_range(n, mode, policy, PrimeTable()).to_json() == text
+    assert value_increasing_cuts(n, PrimeTable()) == cuts
 
 
 def test_pair_json_bytes_at_a_million_are_pinned():
