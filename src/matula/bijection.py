@@ -6,7 +6,9 @@ below the forest of n.  Vertex/edge/leaf statistics and the induced degree
 grading are computed arithmetically (they are completely additive), with the
 forest path kept as an independent cross-check in the tests.  The bracket
 text of a range (``table_text``) and the leaf classes are arithmetic too:
-they build no tree or forest object.
+they build no tree or forest object.  The table builds the keys of a block's
+primes together, level by level from the smallest-factor sieve, and the
+block's text with one join.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from .errors import CapExceeded, MatulaError
 from .forests import Forest, Tree, attach_root, detach_root
-from .primes import PrimeTable, default_table
+from .primes import _AUTO_FACTOR_SIEVE, PrimeTable, default_table
 
 # Math values below do not depend on which table computed them, so the caches
 # are module-global; dict reads/writes are atomic under CPython.  A hit counts
@@ -126,6 +128,87 @@ def _sorted_keys(n: int, table: PrimeTable) -> list[str]:
     return keys
 
 
+def _prime_keys(primes: np.ndarray, table: PrimeTable) -> list[str]:
+    """Keys of the distinct primes given, in their order, each what
+    ``_prime_key`` returns; the missing ones are built together and memoised.
+
+    A memo hit counts only for a prime within the cap, as in ``_prime_key``.
+    """
+    held = np.fromiter(map(_key_of_prime.__contains__, primes.tolist()), bool, len(primes))
+    missing = primes[~held | (primes > table.cap)]
+    if len(missing):
+        _build_keys(missing, table)
+    return list(map(_key_of_prime.__getitem__, primes.tolist()))
+
+
+def _build_keys(missing: np.ndarray, table: PrimeTable) -> None:
+    """Memoise the keys of distinct primes, one level of their trees at a time.
+
+    One ``searchsorted`` gives every rank, a walk of the smallest-factor
+    sieve factors them all, one ``_prime_keys`` call on their distinct
+    factors gives the next level, and ``_join_groups`` lays every key out.
+    The table grows to the largest prime as ``prime_rank`` would grow it, so
+    a prime past the cap raises CapExceeded.  A rank past the automatic
+    factor sieve goes through ``_prime_key`` (trial division), so no call
+    builds a larger sieve than ``factorize`` would.
+    """
+    ranks = np.searchsorted(table.primes_up_to(int(missing.max())), missing) + 1
+    far = ranks > _AUTO_FACTOR_SIEVE
+    for p in missing[far].tolist():
+        _prime_key(p, table)
+    missing, ranks = missing[~far], ranks[~far]
+    owners, factors = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    owner = np.flatnonzero(ranks > 1)  # rank 1, the prime 2, has no factor
+    if len(owner):
+        spf, rest = table._spf_through(int(ranks.max())), ranks[owner]
+        while len(owner):  # one prime factor of every rank left per step
+            p = spf[rest].astype(np.int64)
+            owners.append(owner)
+            factors.append(p)
+            rest //= p
+            left = rest > 1
+            owner, rest = owner[left], rest[left]
+    sub, which = np.unique(np.concatenate(factors), return_inverse=True)
+    heads = ["["] + ["]\t["] * (len(missing) - 1) + ["]"]  # the keys, tab-separated
+    text = _join_groups(heads, np.concatenate(owners), which, _prime_keys(sub, table), "")
+    _key_of_prime.update(zip(missing.tolist(), text.split("\t")))
+
+
+def _join_groups(
+    heads: list[str], owner: np.ndarray, which: np.ndarray, words: list[str], sep: str
+) -> str:
+    """heads[0] + group 0 + heads[1] + ... + group k-1 + heads[k] in one
+    join, group i being the words[which[j]] with owner[j] == i in ascending
+    string order, separated by sep.  The token order comes from ``_slots``,
+    so its sort arrays are freed before the join: that keeps a table block
+    at the peak memory of a join per row."""
+    pool = words + [sep + w for w in words] if sep else words
+    tokens = np.array(pool + heads, dtype=object)[_slots(len(heads), owner, which, words, sep)]
+    return "".join(tokens.tolist())
+
+
+def _slots(
+    heads: int, owner: np.ndarray, which: np.ndarray, words: list[str], sep: str
+) -> np.ndarray:
+    """Where ``_join_groups`` reads each token in its pool: the words, their
+    separated copies if sep is set, then the heads.
+
+    One argsort on owner * len(words) + string rank of the word orders the
+    pairs, a group's later words read the separated copies, and each head
+    goes in before its group's first pair.
+    """
+    rank = np.empty(len(words), dtype=np.int64)
+    rank[sorted(range(len(words)), key=words.__getitem__)] = np.arange(len(words))
+    order = np.argsort(rank[which] + owner * len(words))
+    owner, which = owner[order], which[order]
+    pool = len(words)
+    if sep:
+        which[1:] += pool * (owner[1:] == owner[:-1])
+        pool *= 2
+    at = np.searchsorted(owner, np.arange(heads))
+    return np.insert(which, at, np.arange(pool, pool + heads))
+
+
 _TABLE_BLOCK = 1 << 12  # rows per table block; bounds the work arrays and text chunk
 
 
@@ -133,7 +216,9 @@ def table_text(lo: int, hi: int, table: PrimeTable | None = None) -> Iterator[st
     """The lines ``n<TAB>forest key`` for n in lo..hi, one text chunk per block
     of rows aligned to multiples of _TABLE_BLOCK.
 
-    Rows go one at a time past 2**62 (int64 work arrays) and from the first
+    A block builds the keys it misses together (``_prime_keys``) and its
+    text with one join (``_table_block``).  Rows go one at a time, through
+    ``_sorted_keys``, past 2**62 (int64 work arrays) and from the first
     block that raises a MatulaError: it fails on one of its own rows, or on
     sqrt of its end past the cap, as every later block then does too.  So
     every row before a failing one is yielded, as ``arborify`` would print it.
@@ -155,26 +240,23 @@ def _table_block(lo: int, rest: np.ndarray, powers: list, table: PrimeTable) -> 
     """Table lines of the ``PrimeTable.factor_blocks`` block that starts at lo.
 
     Each prime power's multiples get one factor p; a remainder above 1 is one
-    more prime factor.  The block's distinct keys are sorted once, and one
-    lexsort on (row, key rank) puts each row's factors in key order.
+    more prime factor.  The keys of the block's distinct primes come from
+    ``_prime_keys``, and ``_join_groups`` writes the rows: each row's head
+    ``"\\n{n}\\t"`` (no newline on the first), then its keys in string order,
+    space-separated, and one newline at the end.
     """
+    hits = [(p, hit.start, hit.step) for p, _e, hit in powers]
+    p, start, step = np.array(hits, dtype=np.int64).reshape(-1, 3).T
+    count = (len(rest) - start + step - 1) // step  # multiples of p**e in the block
+    # pairs are numbered j = 0, 1, ... across the powers in turn; pair j of
+    # power k sits at row first[k] + j * step[k]
+    first = start - step * (np.cumsum(count) - count)
     big = np.flatnonzero(rest > 1)
-    rows = [np.arange(hit.start, len(rest), hit.step) for _p, _e, hit in powers] + [big]
-    factors = [np.full(len(row), p, dtype=np.int64) for row, (p, _e, _) in zip(rows, powers)]
-    factors.append(rest[big])
-    row = np.concatenate(rows)
-    primes, which = np.unique(np.concatenate(factors), return_inverse=True)
-    keys = [_prime_key(p, table) for p in primes.tolist()]
-    rank = np.empty(len(keys), dtype=np.int64)
-    rank[sorted(range(len(keys)), key=keys.__getitem__)] = np.arange(len(keys))
-    order = np.lexsort((rank[which], row))
-    ordered = [keys[i] for i in which[order].tolist()]
-    stops = np.cumsum(np.bincount(row, minlength=len(rest))).tolist()
-    lines, start = [], 0
-    for n, stop in zip(range(lo, lo + len(rest)), stops):
-        lines.append(f"{n}\t{' '.join(ordered[start:stop])}\n")
-        start = stop
-    return "".join(lines)
+    row = np.repeat(first, count) + np.repeat(step, count) * np.arange(count.sum())
+    row = np.concatenate([row, big])
+    primes, which = np.unique(np.concatenate([np.repeat(p, count), rest[big]]), return_inverse=True)
+    heads = [f"{lo}\t", *[f"\n{n}\t" for n in range(lo + 1, lo + len(rest))], "\n"]
+    return _join_groups(heads, row, which, _prime_keys(primes, table), " ")
 
 
 @dataclass(frozen=True)

@@ -10,14 +10,31 @@ import contextlib
 import hashlib
 import io
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matula import CapExceeded, Forest, PrimeTable, Tree, arborify, integers_with_leaf_count
-from matula.bijection import _TABLE_BLOCK, _int_vaf, _leaf_counts, _sorted_keys, table_text
+from matula import (
+    CapExceeded,
+    Forest,
+    PrimeTable,
+    Tree,
+    arborify,
+    bijection,
+    integers_with_leaf_count,
+)
+from matula.bijection import (
+    _TABLE_BLOCK,
+    _int_vaf,
+    _leaf_counts,
+    _prime_key,
+    _prime_keys,
+    _sorted_keys,
+    table_text,
+)
 from matula.cli import main
-from oracles import fresh_memos, table_rows
+from oracles import fresh_memos, primes_below, table_rows
 
 
 def _run(argv: list[str]) -> tuple[int, str, str]:
@@ -102,6 +119,82 @@ def test_a_capped_block_is_redone_row_by_row():
         with pytest.raises(CapExceeded) as exc:
             next(rows)
     assert exc.value.needed == 1009
+
+
+def test_bulk_keys_are_the_tree_keys(table):
+    primes = primes_below(200_000)
+    with fresh_memos():
+        keys = _prime_keys(np.array(primes, dtype=np.int64), table)
+    with fresh_memos():
+        assert keys == [arborify(p, table).trees[0].key for p in primes]
+
+
+_PRIMES = primes_below(20_000)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    warm=st.lists(st.sampled_from(_PRIMES), max_size=40, unique=True),
+    want=st.lists(st.sampled_from(_PRIMES), min_size=1, max_size=40, unique=True),
+    cap=st.one_of(st.none(), st.integers(2, 25_000)),
+)
+def test_bulk_keys_on_a_warm_memo_are_the_keys_one_at_a_time(table, warm, want, cap):
+    # the memo is warmed without a cap, so a hit on a prime past the cap
+    # must not count
+    capped = table if cap is None else PrimeTable(cap=cap)
+    expected = []
+    try:
+        for p in want:
+            with fresh_memos():
+                expected.append(_prime_key(p, capped))
+    except CapExceeded:
+        expected = None
+    with fresh_memos():
+        _prime_keys(np.array(warm, dtype=np.int64), table)
+        if expected is None:
+            with pytest.raises(CapExceeded):
+                _prime_keys(np.array(want, dtype=np.int64), capped)
+        else:
+            assert _prime_keys(np.array(want, dtype=np.int64), capped) == expected
+
+
+def test_the_block_path_makes_no_per_prime_call(monkeypatch):
+    with fresh_memos():
+        expected = "".join(table_text(500000, 520000, PrimeTable()))
+
+    def refuse(*args, **kwargs):  # not a MatulaError, so the row fallback cannot hide it
+        raise AssertionError("a per-prime call")
+
+    monkeypatch.setattr(PrimeTable, "prime_rank", refuse)
+    monkeypatch.setattr(PrimeTable, "factorize", refuse)
+    with fresh_memos():
+        assert "".join(table_text(500000, 520000, PrimeTable())) == expected
+
+
+def test_ranks_past_the_factor_sieve_go_one_prime_at_a_time(table, monkeypatch):
+    # as if every rank above 40 were past the automatic factor sieve: the
+    # bulk keys then read no smallest-factor sieve past 40
+    expected = "".join(table_rows(1, 3000, table))
+    limits = []
+    spf_through = PrimeTable._spf_through
+
+    def record(self, limit):
+        limits.append(limit)
+        return spf_through(self, limit)
+
+    monkeypatch.setattr(bijection, "_AUTO_FACTOR_SIEVE", 40)
+    monkeypatch.setattr(PrimeTable, "_spf_through", record)
+    with fresh_memos():
+        assert "".join(table_text(1, 3000, table)) == expected
+    assert 0 < max(limits) <= 40
+
+
+def test_table_bytes_at_benchmark_scale_are_pinned():
+    # the ``table`` step of the bijection benchmark at its widest start
+    with fresh_memos():
+        code, out, err = _run(["table", "--from", "529988", "--to", "679988"])
+    digest = "c566ff956e1150ee9c39204a09e53e0489c396f169a07afc156d106c5ac4637b"
+    assert (code, hashlib.sha256(out.encode()).hexdigest(), err) == (0, digest, "")
 
 
 def test_leaf_array_equals_the_forest_walk(table):

@@ -44,6 +44,8 @@ def _warm_and_fresh(cap: int, argv: list[str]) -> tuple[tuple, tuple]:
         (100, ["table", "--from", "199", "--to", "199"]),
         (100, ["cuts", "199"]),
         (50, ["number-of", "[[][][][]]"]),
+        (1000, ["table", "--from", "995", "--to", "1012"]),
+        (5000, ["table", "--from", "4000", "--to", "9000"]),
     ],
 )
 def test_a_memo_hit_respects_the_cap(cap, argv):
