@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .primes import PrimeTable, _distinct_factors, default_table
+from .primes import PrimeTable, _distinct_factors, _spans, default_table
 
 
 class CutPair(NamedTuple):
@@ -80,15 +80,6 @@ def _ordered_cuts(q: int, table: PrimeTable) -> tuple[CutPair, ...]:
     return got
 
 
-def _spans(first: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(owner, index): index runs over first[i] .. first[i] + count[i] - 1 for
-    each i in turn, and owner repeats that i alongside."""
-    owner = np.repeat(np.arange(len(count)), count)
-    ends = np.cumsum(count)
-    index = np.arange(int(ends[-1]) if len(ends) else 0) - np.repeat(ends - count - first, count)
-    return owner, index
-
-
 def _cut_table(
     primes: np.ndarray, table: PrimeTable
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -108,8 +99,7 @@ def _cut_table(
     lo = 2  # p_1 = 2 is a single vertex: no cuts
     while lo <= len(primes):
         hi = min(2 * lo - 1, int(primes[lo - 1]) - 1, len(primes))
-        _, rest, powers = next(table.factor_blocks(lo, hi, hi + 1))
-        row, d, _ = _distinct_factors(rest, powers)
+        row, d, _ = _distinct_factors(lo, hi, table)
         m = row + lo
         rank = np.searchsorted(primes, d) + 1
         owner, i = _spans(offsets[rank - 1], offsets[rank] - offsets[rank - 1])

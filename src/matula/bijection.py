@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import CapExceeded, MatulaError
 from .forests import Forest, Tree, attach_root, detach_root
-from .primes import _AUTO_FACTOR_SIEVE, PrimeTable, default_table
+from .primes import _AUTO_FACTOR_SIEVE, PrimeTable, _block_factors, default_table
 
 # Math values below do not depend on which table computed them, so the caches
 # are module-global; dict reads/writes are atomic under CPython.  A hit counts
@@ -147,6 +147,8 @@ def _build_keys(missing: np.ndarray, table: PrimeTable) -> None:
     One ``searchsorted`` gives every rank, a walk of the smallest-factor
     sieve factors them all, one ``_prime_keys`` call on their distinct
     factors gives the next level, and ``_join_groups`` lays every key out.
+    A missing prime that is also a factor at some later level gets its key
+    there and is left out of this one, so each key is written once.
     The table grows to the largest prime as ``prime_rank`` would grow it, so
     a prime past the cap raises CapExceeded.  A rank past the automatic
     factor sieve goes through ``_prime_key`` (trial division), so no call
@@ -169,8 +171,14 @@ def _build_keys(missing: np.ndarray, table: PrimeTable) -> None:
             left = rest > 1
             owner, rest = owner[left], rest[left]
     sub, which = np.unique(np.concatenate(factors), return_inverse=True)
+    words = _prime_keys(sub, table)  # may key some of missing, further down
+    mine = ~np.fromiter(map(_key_of_prime.__contains__, missing.tolist()), bool, len(missing))
+    owner = np.concatenate(owners)
+    kept = mine[owner]
+    owner, which = (np.cumsum(mine) - 1)[owner[kept]], which[kept]  # renumbered
+    missing = missing[mine]
     heads = ["["] + ["]\t["] * (len(missing) - 1) + ["]"]  # the keys, tab-separated
-    text = _join_groups(heads, np.concatenate(owners), which, _prime_keys(sub, table), "")
+    text = _join_groups(heads, owner, which, words, "")
     _key_of_prime.update(zip(missing.tolist(), text.split("\t")))
 
 
@@ -240,21 +248,13 @@ def _table_block(lo: int, rest: np.ndarray, powers: list, table: PrimeTable) -> 
     """Table lines of the ``PrimeTable.factor_blocks`` block that starts at lo.
 
     Each prime power's multiples get one factor p; a remainder above 1 is one
-    more prime factor.  The keys of the block's distinct primes come from
-    ``_prime_keys``, and ``_join_groups`` writes the rows: each row's head
-    ``"\\n{n}\\t"`` (no newline on the first), then its keys in string order,
-    space-separated, and one newline at the end.
+    more prime factor (``_block_factors``).  The keys of the block's distinct
+    primes come from ``_prime_keys``, and ``_join_groups`` writes the rows:
+    each row's head ``"\\n{n}\\t"`` (no newline on the first), then its keys
+    in string order, space-separated, and one newline at the end.
     """
-    hits = [(p, hit.start, hit.step) for p, _e, hit in powers]
-    p, start, step = np.array(hits, dtype=np.int64).reshape(-1, 3).T
-    count = (len(rest) - start + step - 1) // step  # multiples of p**e in the block
-    # pairs are numbered j = 0, 1, ... across the powers in turn; pair j of
-    # power k sits at row first[k] + j * step[k]
-    first = start - step * (np.cumsum(count) - count)
-    big = np.flatnonzero(rest > 1)
-    row = np.repeat(first, count) + np.repeat(step, count) * np.arange(count.sum())
-    row = np.concatenate([row, big])
-    primes, which = np.unique(np.concatenate([np.repeat(p, count), rest[big]]), return_inverse=True)
+    row, p = _block_factors(rest, powers)
+    primes, which = np.unique(p, return_inverse=True)
     heads = [f"{lo}\t", *[f"\n{n}\t" for n in range(lo + 1, lo + len(rest))], "\n"]
     return _join_groups(heads, row, which, _prime_keys(primes, table), " ")
 

@@ -18,10 +18,10 @@ from typing import TextIO
 
 import numpy as np
 
-from .algebra import CutPair, _cut_table, _ordered_cuts, _spans, cuts, fuse
+from .algebra import CutPair, _cut_table, _ordered_cuts, cuts, fuse
 from .constants import LIOUVILLE, MOBIUS, MODES, POLICIES
 from .errors import CapExceeded, MatulaError, SieveTooLarge
-from .primes import PrimeTable, _distinct_factors, default_table
+from .primes import PrimeTable, _distinct_factors, _spans, default_table
 
 
 def _check_mode(mode: str) -> str:
@@ -214,8 +214,7 @@ def _block_edges(
     fusion rank past it gives a prime above n >= q_a * q_b: dropped unread.
     """
     offsets, detached, remaining = cut_table
-    _, rest, powers = next(table.factor_blocks(lo, hi, _PAIR_BLOCK))
-    row, q, square = _distinct_factors(rest, powers)
+    row, q, square = _distinct_factors(lo, hi, table)
     alive = live[row + lo] != 0
     k, q, square = row[alive] + lo, q[alive], square[alive]
     rank = np.searchsorted(primes, q) + 1
@@ -225,17 +224,10 @@ def _block_edges(
     shrinks = s * r < q[owner]  # exactly when l < k
     c, s, r = owner[shrinks], s[shrinks], r[shrinks]
     # fusions: factors a <= b of one k (a == b on a square) merge into the
-    # prime of rank rank_a * rank_b, ordered by a and then b
-    firsts = [np.flatnonzero(square)]
-    seconds = [firsts[0]]
-    gap = 1
-    while len(same := np.flatnonzero(k[gap:] == k[: len(k) - gap])):
-        firsts.append(same)
-        seconds.append(same + gap)
-        gap += 1
-    a, b = np.concatenate(firsts), np.concatenate(seconds)
-    order = np.lexsort((b, a))
-    a, b = a[order], b[order]
+    # prime of rank rank_a * rank_b; factor a meets itself on a square, then
+    # each later factor of its k, so (a, b) come ordered by a and then b
+    at = np.arange(len(k))
+    a, b = _spans(at + 1 - square, np.searchsorted(k, k, side="right") - at - 1 + square)
     inside = rank[a] * rank[b] <= len(primes)
     a, b = a[inside], b[inside]
     fused = primes[rank[a] * rank[b] - 1]

@@ -483,30 +483,43 @@ class PrimeTable:
         return table
 
 
-def _distinct_factors(
-    rest: np.ndarray, powers: list
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(row, prime, square) for every distinct prime factor of every row of a
-    ``PrimeTable.factor_blocks`` block, sorted by row and then by prime;
-    square marks the primes whose square divides the row."""
-    rows, primes, squares = [], [], []
-    for p, e, hit in powers:
-        if e == 1:
-            row = np.arange(hit.start, len(rest), hit.step)
-            square = np.zeros(len(row), dtype=bool)
-            rows.append(row)
-            primes.append(np.full(len(row), p, dtype=np.int64))
-            squares.append(square)
-            first = hit.start
-        elif e == 2:  # the multiples of p**2 among the multiples of p above
-            square[(np.arange(hit.start, len(rest), hit.step) - first) // p] = True
+def _spans(
+    first: np.ndarray, count: np.ndarray, step: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(owner, index): index runs over first[i], first[i] + step[i], ...,
+    count[i] terms (step 1 if not given), for each i in turn, and owner
+    repeats that i alongside."""
+    owner = np.repeat(np.arange(len(count)), count)
+    index = np.arange(len(owner)) - (np.cumsum(count) - count)[owner]
+    if step is not None:
+        index *= step[owner]
+    index += first[owner]
+    return owner, index
+
+
+def _block_factors(rest: np.ndarray, powers: list) -> tuple[np.ndarray, np.ndarray]:
+    """(row, p) for a ``PrimeTable.factor_blocks`` block: one pair for each
+    multiple of each prime power p**e in ``powers``, power by power, then one
+    for each remainder above 1.  Given every power of the block, each row's
+    primes come with their multiplicities."""
+    hits = [(p, hit.start, hit.step) for p, _e, hit in powers]
+    p, start, step = np.array(hits, dtype=np.int64).reshape(-1, 3).T
+    owner, row = _spans(start, (len(rest) - start + step - 1) // step, step)
     big = np.flatnonzero(rest > 1)  # the one prime above sqrt(end), the largest
-    rows.append(big)
-    primes.append(rest[big])
-    squares.append(np.zeros(len(big), dtype=bool))
-    row = np.concatenate(rows)
+    return np.concatenate([row, big]), np.concatenate([p[owner], rest[big]])
+
+
+def _distinct_factors(
+    lo: int, hi: int, table: PrimeTable
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(row, prime, square) for every distinct prime factor of every n in
+    lo..hi, row being n - lo, sorted by row and then by prime; square marks
+    the primes whose square divides n."""
+    _, rest, powers = next(table.factor_blocks(lo, hi, hi + 1))
+    row, prime = _block_factors(rest, [(p, e, hit) for p, e, hit in powers if e == 1])
     order = np.argsort(row, kind="stable")  # the primes came ascending
-    return row[order], np.concatenate(primes)[order], np.concatenate(squares)[order]
+    row, prime = row[order], prime[order]
+    return row, prime, (row + lo) // prime % prime == 0
 
 
 _default: PrimeTable | None = None

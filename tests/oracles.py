@@ -131,6 +131,31 @@ def primes_below(n: int) -> list[int]:
     return [i for i, ok in enumerate(flags) if ok]
 
 
+def distinct_factors_reference(rest: np.ndarray, powers: list):
+    """(row, prime, square) of a ``PrimeTable.factor_blocks`` block, one
+    prime power at a time: every distinct prime factor of every row, sorted
+    by row and then by prime, square marking the primes whose square divides
+    the row."""
+    rows, primes, squares = [], [], []
+    for p, e, hit in powers:
+        if e == 1:
+            row = np.arange(hit.start, len(rest), hit.step)
+            square = np.zeros(len(row), dtype=bool)
+            rows.append(row)
+            primes.append(np.full(len(row), p, dtype=np.int64))
+            squares.append(square)
+            first = hit.start
+        elif e == 2:  # the multiples of p**2 among the multiples of p above
+            square[(np.arange(hit.start, len(rest), hit.step) - first) // p] = True
+    big = np.flatnonzero(rest > 1)  # the one prime above sqrt(end), the largest
+    rows.append(big)
+    primes.append(rest[big])
+    squares.append(np.zeros(len(big), dtype=bool))
+    row = np.concatenate(rows)
+    order = np.argsort(row, kind="stable")  # the primes came ascending
+    return row[order], np.concatenate(primes)[order], np.concatenate(squares)[order]
+
+
 def validation_errors_reference(report: PairingReport, table=None) -> list[str]:
     """``pairing.validation_errors`` as a per-member loop over Python sets,
     with each pair's signs recomputed by ``sign_of``; the array passes of the

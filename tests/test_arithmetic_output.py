@@ -271,3 +271,29 @@ def test_capped_commands_fuzz_against_the_tree_loop(cap, command, start, span):
         got = _run(argv)
     assert got == expected
     assert got[0] in (0, 3, 4)
+
+
+class _CountingMemo(dict):
+    """A key memo that counts every write, one by one or through ``update``."""
+
+    writes = 0
+
+    def __setitem__(self, key, value):
+        self.writes += 1
+        super().__setitem__(key, value)
+
+    def update(self, items):
+        for key, value in items:
+            self[key] = value
+
+
+def test_bulk_keys_are_written_once_at_benchmark_scale():
+    # a missing prime that is also a factor of another's rank (3, whose rank
+    # 2 is a factor of the rank 3 of 5) is keyed one level down, not again
+    memo = _CountingMemo()
+    with fresh_memos():
+        bijection._key_of_prime = memo
+        code, out, err = _run(["table", "--from", "529988", "--to", "679988"])
+    digest = "c566ff956e1150ee9c39204a09e53e0489c396f169a07afc156d106c5ac4637b"
+    assert (code, hashlib.sha256(out.encode()).hexdigest(), err) == (0, digest, "")
+    assert memo.writes == len(memo) > 0

@@ -10,6 +10,7 @@ from a failing block.
 import contextlib
 import hashlib
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -137,3 +138,26 @@ def test_pair_json_bytes_at_a_million_are_pinned():
     text = pair_range(10**6, "liouville", "largest").to_json()
     digest = "b309fa16e9ae85472a16bc44f9ea55205eaa7ac092f5add33a059ea8cc7e51ef"
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "center",
+    [
+        30030,  # 2 * 3 * 5 * 7 * 11 * 13: many distinct factors
+        2**10 * 3**4,  # high prime powers
+        510510,  # 30030 * 17
+    ],
+)
+def test_block_edges_list_the_moves_of_each_k_in_generation_order(center):
+    # with every k live and policy ``first``, the block's columns are the
+    # per-k ``_moves`` of hi, hi - 1, ..., lo, each in generation order
+    table = PrimeTable()
+    lo = center // _B * _B
+    hi = lo + _B - 1
+    primes = table.primes_up_to(hi)
+    live = np.ones(hi + 1, dtype=bool)
+    edges = pairing._block_edges(lo, hi, "first", live, primes, pairing._cut_table(primes, table), table)
+    expected = [
+        (k, *move) for k in range(hi, lo - 1, -1) for move in pairing._moves(k, table.factorize(k), table)
+    ]
+    assert list(zip(*(col.tolist() for col in edges))) == expected

@@ -6,19 +6,22 @@ from math import isqrt
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from matula import CapExceeded, NotPrime, PrimeTable, SieveTooLarge
+from matula import CapExceeded, NotPrime, PrimeTable, SieveTooLarge, algebra
 from matula.primes import (
     MAX_CAP,
     _CACHE_HEADER,
     _SEGMENT,
+    _block_factors,
+    _distinct_factors,
     _nth_prime_bound,
     _pi_bound,
     _rank_ceiling,
+    _spans,
 )
-from oracles import primes_below, trial_factor_count, trial_squarefree
+from oracles import distinct_factors_reference, primes_below, trial_factor_count, trial_squarefree
 
 
 def test_first_primes(table):
@@ -591,3 +594,71 @@ def test_nth_primes_from_threads_sharing_a_table(table):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
+
+
+def _spans_loop(first, count, step):
+    """``_spans`` as a Python loop over the runs."""
+    owner, index = [], []
+    for i, (f, c, s) in enumerate(zip(first, count, step)):
+        for j in range(c):
+            owner.append(i)
+            index.append(f + j * s)
+    return owner, index
+
+
+_RUN = st.tuples(st.integers(0, 60), st.integers(0, 5), st.integers(1, 7))
+
+
+@settings(max_examples=200, deadline=None)
+@given(runs=st.lists(_RUN, max_size=12), stepped=st.booleans())
+@example(runs=[], stepped=False)
+@example(runs=[], stepped=True)
+@example(runs=[(3, 0, 1), (9, 0, 4)], stepped=True)  # every count zero
+@example(runs=[(0, 0, 2), (5, 3, 4), (1, 0, 1), (7, 2, 3)], stepped=True)
+def test_spans_is_the_loop_over_runs(runs, stepped):
+    first, count, step = np.array(runs, dtype=np.int64).reshape(-1, 3).T
+    if not stepped:
+        step = np.ones_like(step)
+    owner, index = _spans(first, count, step if stepped else None)
+    expected = _spans_loop(first.tolist(), count.tolist(), step.tolist())
+    assert (owner.tolist(), index.tolist()) == expected
+
+
+def _check_block_helpers(table, lo, hi, sympy):
+    row, prime, square = _distinct_factors(lo, hi, table)
+    (_, rest, powers), = table.factor_blocks(lo, hi, hi + 1)
+    reference = distinct_factors_reference(rest, powers)
+    assert all(np.array_equal(a, b) for a, b in zip((row, prime, square), reference)), (lo, hi)
+    factored = [sorted(sympy.factorint(n).items()) for n in range(lo, hi + 1)]
+    expected = [(i, p, e > 1) for i, pairs in enumerate(factored) for p, e in pairs]
+    assert list(zip(row.tolist(), prime.tolist(), square.tolist())) == expected, (lo, hi)
+    # _block_factors: one (row, p) per prime-power hit and remainder, so each
+    # row's primes come with their multiplicities
+    row, prime = _block_factors(rest, powers)
+    with_multiplicity = [(i, p) for i, pairs in enumerate(factored) for p, e in pairs for _ in range(e)]
+    assert sorted(zip(row.tolist(), prime.tolist())) == with_multiplicity, (lo, hi)
+
+
+@pytest.mark.parametrize(
+    "lo, hi", [(1, 3000), (2**16 - 300, 2**16 + 300), (9_990_000, 10**7)]
+)
+def test_distinct_factors_match_the_reference_and_sympy(table, lo, hi):
+    sympy = pytest.importorskip("sympy")
+    _check_block_helpers(table, lo, hi, sympy)
+
+
+def test_distinct_factors_of_the_cut_table_rank_blocks(table, monkeypatch):
+    # the blocks of ranks ``_cut_table`` factors for the primes below 10^5
+    sympy = pytest.importorskip("sympy")
+    blocks = []
+
+    def record(lo, hi, table):
+        blocks.append((lo, hi))
+        return _distinct_factors(lo, hi, table)
+
+    monkeypatch.setattr(algebra, "_distinct_factors", record)
+    primes = table.primes_up_to(10**5)
+    algebra._cut_table(primes, table)
+    assert blocks[0][0] == 2 and blocks[-1][1] == len(primes)
+    for lo, hi in blocks:
+        _check_block_helpers(table, lo, hi, sympy)
