@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import TYPE_CHECKING
 
@@ -346,6 +347,8 @@ def _run_scan(args: argparse.Namespace, table: PrimeTable) -> ScanReport:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # no layer calls BLAS: an idle OpenBLAS worker pool would only spin on the CPU
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = _build_parser().parse_args(argv)
     try:
         return _run(args)

@@ -387,12 +387,10 @@ class PairingReport:
 _dumps = partial(json.dumps, sort_keys=True, separators=(", ", ": "))  # the report's JSON form
 
 
-def _cut_json(q: int, s: int, r: int) -> str:
-    return f'{{"detached": {s}, "factor": {q}, "kind": "cut", "remaining": {r}}}'
-
-
-def _fusion_json(q: int, r: int) -> str:
-    return f'{{"kind": "fusion", "left": {q}, "right": {r}}}'
+# A move-log entry's text, keyed by k and filled with (k, y, x, z) for a cut
+# and (k, x, y) for a fusion: ``_move_dict``'s keys in sorted order.
+_FUSION_JSON = '"%d": {"kind": "fusion", "left": %d, "right": %d}'
+_CUT_JSON = '"%d": {"detached": %d, "factor": %d, "kind": "cut", "remaining": %d}'
 
 
 def _row_moves(rows: np.ndarray) -> Iterator[tuple[int, int, dict]]:
@@ -424,6 +422,18 @@ def _joined(pieces: Iterator[str]) -> Iterator[str]:
             sep = ", "
 
 
+def _move_log_json(rows: np.ndarray) -> str:
+    """The move-log entries of five-column rows, in row order, filled by one
+    ``%`` from a flat list of each row's values."""
+    k, _, x, y, z = rows.T
+    cut = z != 0
+    values = np.stack([k, np.where(cut, y, x), np.where(cut, x, y), z], axis=1)
+    keep = np.ones(values.shape, dtype=bool)
+    keep[:, 3] = cut
+    templates = ", ".join([_CUT_JSON if c else _FUSION_JSON for c in cut.tolist()])
+    return templates % tuple(values[keep].tolist())
+
+
 def _column_json(
     report: PairingReport, rows: np.ndarray, unpaired: np.ndarray, with_moves: bool
 ) -> Iterator[str]:
@@ -434,17 +444,14 @@ def _column_json(
         yield ', "move_log": {'
         order = _decimal_order(rows[:, 0])
         yield from _joined(
-            ", ".join(
-                f'"{k}": {_cut_json(x, y, z) if z else _fusion_json(x, y)}'
-                for k, _, x, y, z in rows[order[start : start + _CHUNK]].tolist()
-            )
+            _move_log_json(rows[order[start : start + _CHUNK]])
             for start in range(0, len(rows), _CHUNK)
         )
         yield "}"
     yield ', "pairs": ['
     yield from _joined(
-        ", ".join(f"[{k}, {l}]" for k, l in rows[start : start + _CHUNK, :2].tolist())
-        for start in range(0, len(rows), _CHUNK)
+        ", ".join(["[%d, %d]"] * len(piece)) % tuple(piece.ravel().tolist())
+        for piece in (rows[start : start + _CHUNK, :2] for start in range(0, len(rows), _CHUNK))
     )
     yield f'], "policy": {_dumps(report.policy)}, "singletons": ['
     yield from _joined(

@@ -561,30 +561,36 @@ def test_a_sign_sieve_the_machine_refuses_exits_4(capsys, command):
 # Linux a child's ru_maxrss starts from its spawner's peak, and this test
 # process is large.
 _SPAWN = """
-import os, subprocess, sys
+import os, subprocess, sys, time
 with open(sys.argv[1], "wb") as out:
+    started = time.perf_counter()
     child = subprocess.Popen(sys.argv[2:], stdout=out)
     _, status, usage = os.wait4(child.pid, 0)
-print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+    wall = time.perf_counter() - started
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss, usage.ru_utime + usage.ru_stime, wall)
 """
 
 
-def _python(*argv: str) -> subprocess.CompletedProcess:
-    """A fresh interpreter that imports this checkout's ``matula``."""
+def _python(*argv: str, **variables: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter that imports this checkout's ``matula``, with
+    ``variables`` added to its environment.  It does not inherit the
+    OPENBLAS_NUM_THREADS that an in-process ``main()`` call may have set in
+    this process, so it starts as cold as a user's shell would start it."""
     src = str(Path(__file__).parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
+    env = {name: value for name, value in os.environ.items() if name != "OPENBLAS_NUM_THREADS"}
+    env.update(PYTHONPATH=path, **variables)
     return subprocess.run(
         [sys.executable, *argv], env=env, capture_output=True, text=True, timeout=120, check=True
     )
 
 
-def _spawn(*command: str, out: str = os.devnull) -> tuple[int, int]:
-    """Exit code and peak RSS in kB of ``python -m matula.cli *command``,
-    its stdout written to ``out``."""
+def _spawn(*command: str, out: str = os.devnull) -> tuple[int, int, float, float]:
+    """Exit code, peak RSS in kB, CPU seconds and wall seconds of
+    ``python -m matula.cli *command``, its stdout written to ``out``."""
     done = _python("-c", _SPAWN, out, sys.executable, "-m", "matula.cli", *command)
-    code, maxrss_kb = map(int, done.stdout.split())
-    return code, maxrss_kb
+    code, maxrss_kb, cpu_s, wall_s = done.stdout.split()
+    return int(code), int(maxrss_kb), float(cpu_s), float(wall_s)
 
 
 def test_leaf_class_past_the_automatic_factor_sieve_keeps_its_bytes(capsys):
@@ -598,14 +604,14 @@ def test_leaf_class_past_the_automatic_factor_sieve_keeps_its_bytes(capsys):
 
 
 def test_degree_list_23_peaks_under_100_mb():
-    code, maxrss_kb = _spawn("degree-list", "23")
+    code, maxrss_kb, *_ = _spawn("degree-list", "23")
     assert code == 0
     assert maxrss_kb < 100 * 1024  # 668 MB while the table stored every prime
 
 
 def test_validate_pairs_at_ten_million_stays_bounded(tmp_path):
     out = tmp_path / "out.txt"
-    code, maxrss_kb = _spawn("validate-pairs", FIXTURE, "--max", "10000000", out=str(out))
+    code, maxrss_kb, *_ = _spawn("validate-pairs", FIXTURE, "--max", "10000000", out=str(out))
     assert code == 0
     assert out.read_text() == "valid: 48 pairs, 9999904 singletons, bound=842, exact=-842\n"
     # 1484 MB while the validator kept Python sets of every member; about
@@ -616,9 +622,50 @@ def test_validate_pairs_at_ten_million_stays_bounded(tmp_path):
 def test_validate_pairs_past_int64_at_ten_million_stays_bounded(tmp_path):
     fixture = tmp_path / "past.txt"
     fixture.write_text(Path(FIXTURE).read_text() + f"{10**20} 3\n")
-    code, maxrss_kb = _spawn("validate-pairs", str(fixture), "--max", "10000000")
+    code, maxrss_kb, *_ = _spawn("validate-pairs", str(fixture), "--max", "10000000")
     assert code == 3
     assert maxrss_kb < 150 * 1024  # 1005 MB while the member made a list report
+
+
+def test_a_cold_cli_run_spins_no_blas_worker():
+    # no layer calls BLAS, so main() pins OpenBLAS to one thread before numpy
+    # loads; its default pool cost about 0.13 s of CPU per run on a 2-core host
+    code, _, cpu_s, wall_s = _spawn("fuse", "5", "7")
+    assert code == 0
+    assert cpu_s <= 1.1 * wall_s + 0.05, (cpu_s, wall_s)
+
+
+# Runs ``fuse 5 7`` through main() and prints the threads of the process.
+_THREADS = """
+import os
+from matula import cli
+cli.main(["fuse", "5", "7"])
+print(len(os.listdir("/proc/self/task")))
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux /proc")
+def test_a_cli_process_runs_one_thread():
+    assert _python("-c", _THREADS).stdout.split() == ["37", "1"]
+
+
+# Prints whether importing matula and matula.cli, a library call and, with
+# argv "main", a main() call left os.environ as it was.
+_ENVIRON = """
+import os, sys
+before = dict(os.environ)
+import matula, matula.cli
+matula.fuse(5, 7)
+if sys.argv[1:] == ["main"]:
+    matula.cli.main(["fuse", "5", "7"])
+print(dict(os.environ) == before)
+"""
+
+
+def test_imports_and_a_callers_blas_setting_leave_the_environment_alone():
+    assert _python("-c", _ENVIRON).stdout == "True\n"
+    preset = _python("-c", _ENVIRON, "main", OPENBLAS_NUM_THREADS="2").stdout
+    assert preset == "37\nTrue\n"
 
 
 # Runs one command, its stdout dropped, and prints its exit code and which of

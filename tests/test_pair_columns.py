@@ -223,6 +223,17 @@ def test_report_from_pairs_keeps_members_past_int64_as_python_ints(table):
     assert f"pair member {big} outside 1..10" in validation_errors(report, table)
 
 
+def test_json_fills_pieces_of_rows_past_int64(monkeypatch, table):
+    # one % per piece fills Python ints past int64 as it fills int64 rows
+    monkeypatch.setattr(pairing, "_CHUNK", 7)
+    pairs = [(k, k - 1) for k in range(40, 10, -2)] + [(10**20, 3)]
+    report = report_from_pairs(40, "liouville", pairs, table=table)
+    assert report._columns[0].dtype == object
+    out = io.StringIO()
+    report.write_json(out)
+    assert out.getvalue() == report_json_reference(report)
+
+
 @pytest.mark.parametrize(
     "pairs, row",
     [
