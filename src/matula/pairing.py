@@ -670,7 +670,10 @@ def validate_report(report: PairingReport, table: PrimeTable | None = None) -> b
 
 # -- fixtures ----------------------------------------------------------------------
 
-_PARSE_LINES = 1 << 14  # lines of a pair list split and converted at a time
+# lines of a pair list split and converted at a time: a chunk's lists, strs
+# and ints take about 1 MB, so the parse stays below the checks that follow
+# in validate-pairs' peak (4x the lines add about 4.5 MB at 50k pairs)
+_PARSE_LINES = 1 << 12
 
 
 def _pair_rows(text: str) -> np.ndarray:

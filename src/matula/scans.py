@@ -14,12 +14,17 @@ import functools
 import json
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .algebra import nap_law_holds, value_increasing_cuts
 from .primes import PrimeTable, _nth_prime_bound, default_table
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+# The cut algebra and ``fractions`` load inside the scans that use them, so
+# ``scan mrd``, ``scan sousselier`` and ``scan three-n`` skip their imports.
 
 GUARD_BAND = 1e-9  # relative width of the float comparison no-man's-land
 # n per step of the scans that read the first n primes: their temporaries
@@ -118,6 +123,8 @@ def ratio_table(
     """Exact rationals p_k * p_l / p_(k*l) for the whole rectangle."""
     if k_max < 1 or l_max < 1:
         raise ValueError(f"empty table range: k_max={k_max}, l_max={l_max}")
+    from fractions import Fraction
+
     table = table or default_table()
     primes = table.first_n(k_max * l_max)
     out: dict[tuple[int, int], Fraction] = {}
@@ -250,6 +257,8 @@ def scan_cut_decrease(q_max: int, table: PrimeTable | None = None) -> ScanReport
     """
     if q_max < 3:
         raise ValueError(f"need q_max >= 3, got {q_max}")
+    from .algebra import value_increasing_cuts
+
     table = table or default_table()
     exceptions = value_increasing_cuts(q_max, table)
     return ScanReport(
@@ -265,6 +274,8 @@ def scan_nap_law(p_max: int, table: PrimeTable | None = None) -> ScanReport:
     with values <= p_max (expected to hold identically)."""
     if p_max < 2:
         raise ValueError(f"need p_max >= 2, got {p_max}")
+    from .algebra import nap_law_holds
+
     table = table or default_table()
     ps = [int(p) for p in table.primes_up_to(p_max)]
     exceptions = [

@@ -1,3 +1,4 @@
+import atexit
 import contextlib
 import functools
 import hashlib
@@ -571,17 +572,18 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss, usage.ru_utime + usage
 """
 
 
-def _python(*argv: str, **variables: str) -> subprocess.CompletedProcess:
+def _python(*argv: str, check: bool = True, **variables: str) -> subprocess.CompletedProcess:
     """A fresh interpreter that imports this checkout's ``matula``, with
-    ``variables`` added to its environment.  It does not inherit the
-    OPENBLAS_NUM_THREADS that an in-process ``main()`` call may have set in
-    this process, so it starts as cold as a user's shell would start it."""
+    ``variables`` added to its environment; unless ``check`` is false, a
+    nonzero exit raises.  It does not inherit the OPENBLAS_NUM_THREADS that
+    an in-process ``main()`` call may have set in this process, so it
+    starts as cold as a user's shell would start it."""
     src = str(Path(__file__).parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {name: value for name, value in os.environ.items() if name != "OPENBLAS_NUM_THREADS"}
     env.update(PYTHONPATH=path, **variables)
     return subprocess.run(
-        [sys.executable, *argv], env=env, capture_output=True, text=True, timeout=120, check=True
+        [sys.executable, *argv], env=env, capture_output=True, text=True, timeout=120, check=check
     )
 
 
@@ -627,6 +629,17 @@ def test_validate_pairs_past_int64_at_ten_million_stays_bounded(tmp_path):
     assert maxrss_kb < 150 * 1024  # 1005 MB while the member made a list report
 
 
+def test_validate_pairs_of_a_50k_pair_list_peaks_near_the_floor(tmp_path):
+    # the parse stays below the checks that follow it: about 9.5 MB above
+    # number-of "[]" on a 2-core host, 15 MB with parse chunks of 2**14 lines
+    fixture = tmp_path / "pairs.txt"
+    fixture.write_text("".join(f"{k} {l}\n" for k, l in pair_range(100_000).pairs))
+    floor_code, floor_kb, *_ = _spawn("number-of", "[]")
+    code, maxrss_kb, *_ = _spawn("validate-pairs", str(fixture), "--max", "100000")
+    assert (floor_code, code) == (0, 0)
+    assert maxrss_kb - floor_kb < 12 * 1024, (maxrss_kb, floor_kb)
+
+
 def test_a_cold_cli_run_spins_no_blas_worker():
     # no layer calls BLAS, so main() pins OpenBLAS to one thread before numpy
     # loads; its default pool cost about 0.13 s of CPU per run on a 2-core host
@@ -668,6 +681,58 @@ def test_imports_and_a_callers_blas_setting_leave_the_environment_alone():
     assert preset == "37\nTrue\n"
 
 
+# Prints how many exit handlers importing matula.cli added, how many two
+# main() calls added once the layers fuse runs were loaded, whether main()
+# froze the heap in-process, and whether the exit handlers freeze it.
+_EXIT_HANDLERS = """
+import atexit, contextlib, gc, io
+before = atexit._ncallbacks()
+import matula, matula.cli
+imported = atexit._ncallbacks()
+import matula.algebra
+loaded = atexit._ncallbacks()
+with contextlib.redirect_stdout(io.StringIO()):
+    matula.cli.main(["fuse", "5", "7"])
+    matula.cli.main(["fuse", "5", "7"])
+frozen = gc.get_freeze_count()
+added = atexit._ncallbacks() - loaded
+atexit._run_exitfuncs()
+print(imported - before, added, frozen, gc.get_freeze_count() > 0)
+"""
+
+
+@pytest.mark.skipif(not hasattr(atexit, "_ncallbacks"), reason="needs CPython's atexit")
+def test_main_registers_one_heap_freeze_for_exit():
+    assert _python("-c", _EXIT_HANDLERS).stdout == "0 1 0 True\n"
+
+
+# One cold run per exit code, with the stdout and stderr bytes recorded
+# before main() froze the heap at exit.
+COLD_RUNS = [
+    ("fuse 5 7", 0, "37\n", ""),
+    (
+        "fuse 5",
+        2,
+        "",
+        "usage: matula fuse [-h] p q\n"
+        "matula fuse: error: the following arguments are required: q\n",
+    ),
+    ("arborify 0", 3, "", "error: arborify expects n >= 1, got 0\n"),
+    (
+        "--cap 1000 pair 1009",
+        4,
+        "",
+        "error: operation needs primes up to ~1009, beyond the cap 1000\n",
+    ),
+]
+
+
+@pytest.mark.parametrize("line, code, out, err", COLD_RUNS, ids=[c[0] for c in COLD_RUNS])
+def test_a_cold_run_keeps_its_bytes_and_exit_code(line, code, out, err):
+    done = _python("-m", "matula.cli", *line.split(), check=False)
+    assert (done.returncode, done.stdout, done.stderr) == (code, out, err)
+
+
 # Runs one command, its stdout dropped, and prints its exit code and which of
 # the watched modules it loaded.
 _LOADED = """
@@ -699,6 +764,9 @@ LOAD_CASES = [
     ("number-of [[[]]]", 0, TREES_ONLY),
     ("arborify 12", 0, TREES_ONLY),
     ("scan sousselier --max 100", 0, {"mpmath"}),
+    # only cut-decrease and nap load the cut algebra, only ratio-table fractions
+    ("scan mrd --max 1000", 0, {"matula.algebra", "fractions"}),
+    ("scan three-n --max 1000", 0, {"matula.algebra", "fractions"}),
 ]
 
 

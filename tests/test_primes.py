@@ -1,3 +1,4 @@
+import hashlib
 import sys
 import threading
 import tracemalloc
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from matula import CapExceeded, NotPrime, PrimeTable, SieveTooLarge, algebra
+from matula.bijection import integers_with_leaf_count, table_text
 from matula.primes import (
     MAX_CAP,
     _CACHE_HEADER,
@@ -372,6 +374,34 @@ def test_the_factor_sieve_is_not_bounded_by_the_cap():
     t = PrimeTable(cap=1000)
     t.ensure_factor_sieve(5000)
     assert len(t._spf) > 5000 and t.factorize(4999) == [(4999, 1)]
+
+
+@pytest.mark.parametrize("limit", [12, 5000, 10**5, 300_000, 2**20 + 1])
+def test_the_factor_sieve_is_the_power_of_two_above_the_request(limit):
+    t = PrimeTable()
+    t.ensure_factor_sieve(limit)
+    assert len(t._spf) == max(1 << limit.bit_length(), 2**16)
+
+
+def test_a_table_below_rank_2_16_builds_a_256_kb_factor_sieve():
+    # its primes' ranks stay below pi(560000) = 46,072; sha256 recorded while
+    # every sieve held 2**20 entries
+    t = PrimeTable()
+    text = "".join(table_text(550_000, 560_000, t))
+    assert len(t._spf) <= 2**16
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "4bb2463764b261e292d3d00600eb039151b5fc1bf59b0b2e61684ef9851f18dd"
+    )
+
+
+def test_a_leaf_class_to_300000_builds_a_2_19_factor_sieve():
+    # sha256 recorded while every sieve held 2**20 entries
+    t = PrimeTable()
+    found = integers_with_leaf_count(2, 300_000, t)
+    assert len(t._spf) <= 2**19
+    assert len(found) == 119 and hashlib.sha256(" ".join(map(str, found)).encode()).hexdigest() == (
+        "80f41fcd8101e8404651a5c500827598501f2d7a51e64c92041a0c28f7ae2c7d"
+    )
 
 
 def test_omega_parity_matches_trial_division():
