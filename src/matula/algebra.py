@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .primes import PrimeTable, _distinct_factors, _spans, default_table
+from .primes import PrimeTable, _distinct_factors, _spans, _value_dtype, default_table
 
 
 class CutPair(NamedTuple):
@@ -80,6 +80,9 @@ def _ordered_cuts(q: int, table: PrimeTable) -> tuple[CutPair, ...]:
     return got
 
 
+_CUT_BLOCK = 1 << 14  # ranks per block of _cut_table; bounds its work arrays
+
+
 def _cut_table(
     primes: np.ndarray, table: PrimeTable
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -91,21 +94,24 @@ def _cut_table(
     The cuts of p_m are the root cuts (d, p_{m/d}) and the relayed cuts
     (s, p_{(m/d) r}), for each prime d | m and each cut (s, r) of d.  A cut
     leaves a smaller tree (r < d), so every rank read is below m, inside
-    ``primes``.  The ranks are filled in ascending blocks that end below
-    both 2 lo and p_lo, so each d | m has its cuts from an earlier block.
+    ``primes``.  The ranks are filled in ascending blocks of at most
+    ``_CUT_BLOCK`` ranks that end below both 2 lo and p_lo, so each d | m
+    has its cuts from an earlier block.  detached and remaining are the two
+    rows of one int32 buffer (int64 past 2**31) that doubles as it fills;
+    the rank products stay int64.
     """
     offsets = np.zeros(len(primes) + 1, dtype=np.int64)
-    detached = remaining = np.empty(0, dtype=np.int64)
+    cuts = np.empty((2, _CUT_BLOCK), dtype=_value_dtype(int(primes.max(initial=0))))
     lo = 2  # p_1 = 2 is a single vertex: no cuts
     while lo <= len(primes):
-        hi = min(2 * lo - 1, int(primes[lo - 1]) - 1, len(primes))
+        hi = min(2 * lo - 1, int(primes[lo - 1]) - 1, lo + _CUT_BLOCK - 1, len(primes))
         row, d, _ = _distinct_factors(lo, hi, table)
         m = row + lo
         rank = np.searchsorted(primes, d) + 1
         owner, i = _spans(offsets[rank - 1], offsets[rank] - offsets[rank - 1])
         who = np.concatenate([m, m[owner]])
-        s = np.concatenate([d, detached[i]])
-        at = np.concatenate([m // d, (m // d)[owner] * remaining[i]])
+        s = np.concatenate([d, cuts[0, i]])
+        at = np.concatenate([m // d, (m // d)[owner] * cuts[1, i]])
         at -= 1  # ranks to indices in place: the block's largest array
         r = primes[at]
         order = np.lexsort((r, s, who))
@@ -114,10 +120,14 @@ def _cut_table(
         new[1:] = (who[1:] != who[:-1]) | (s[1:] != s[:-1]) | (r[1:] != r[:-1])
         counts = np.bincount(who[new] - lo, minlength=hi - lo + 1)
         offsets[lo : hi + 1] = offsets[lo - 1] + np.cumsum(counts)
-        detached = np.concatenate([detached, s[new]])
-        remaining = np.concatenate([remaining, r[new]])
+        start, end = offsets[lo - 1], offsets[hi]
+        if end > cuts.shape[1]:
+            grown = np.empty((2, max(2 * cuts.shape[1], end)), dtype=cuts.dtype)
+            grown[:, :start] = cuts[:, :start]
+            cuts = grown
+        cuts[0, start:end], cuts[1, start:end] = s[new], r[new]
         lo = hi + 1
-    return offsets, detached, remaining
+    return offsets, cuts[0, : offsets[-1]], cuts[1, : offsets[-1]]
 
 
 def cut_chains(
@@ -161,10 +171,17 @@ def value_increasing_cuts(
 ) -> list[tuple[int, int]]:
     """All (q, product) with q prime <= limit and some cut of q whose
     two-factor product exceeds q.  Cuts normally decrease the value; the
-    exceptions are rare and this scan certifies them for a range."""
+    exceptions are rare and this scan certifies them for a range.  They are
+    sorted and de-duplicated as arrays, before any Python int is made."""
     table = table or default_table()
     primes = table.primes_up_to(limit)
     offsets, detached, remaining = _cut_table(primes, table)
-    q, product = np.repeat(primes, np.diff(offsets)), detached * remaining
+    q = np.repeat(primes, np.diff(offsets))
+    product = np.multiply(detached, remaining, dtype=np.int64)  # int32 * int32 can wrap
     up = product > q
-    return sorted(set(zip(q[up].tolist(), product[up].tolist())))
+    q, product = q[up], product[up]
+    order = np.lexsort((product, q))
+    q, product = q[order], product[order]
+    new = np.ones(len(q), dtype=bool)
+    new[1:] = (q[1:] != q[:-1]) | (product[1:] != product[:-1])
+    return list(zip(q[new].tolist(), product[new].tolist()))

@@ -21,7 +21,7 @@ import numpy as np
 from .algebra import CutPair, _cut_table, _ordered_cuts, cuts, fuse
 from .constants import LIOUVILLE, MOBIUS, MODES, POLICIES
 from .errors import CapExceeded, MatulaError, SieveTooLarge
-from .primes import PrimeTable, _distinct_factors, _spans, default_table
+from .primes import PrimeTable, _distinct_factors, _spans, _value_dtype, default_table
 
 
 def _check_mode(mode: str) -> str:
@@ -204,25 +204,29 @@ def _block_edges(
     cut_table: tuple[np.ndarray, np.ndarray, np.ndarray],
     table: PrimeTable,
 ) -> tuple[np.ndarray, ...]:
-    """int64 columns k, l, x, y, z of every edge (k, l) of ``_moves`` with
-    lo <= k <= hi and both ends marked in ``live``, in the order a greedy
-    ``policy`` tries them.
+    """int32 columns k, l, x, y, z (int64 past 2**31) of every edge (k, l)
+    of ``_moves`` with lo <= k <= hi and both ends marked in ``live``, in the
+    order a greedy ``policy`` tries them.
 
     The order is k descending, then the policy's key on l, then ``_moves``'
     generation order.  A cut of factor x into y * z has z >= 2; a fusion of
     x and y has z = 0.  ``primes`` holds the primes up to n >= hi, so a
     fusion rank past it gives a prime above n >= q_a * q_b: dropped unread.
+    Every column value is at most hi; the values that can pass it (s * r,
+    rank products, q_a * q_b and the sort key) are int64.
     """
     offsets, detached, remaining = cut_table
+    dtype = _value_dtype(hi)
     row, q, square = _distinct_factors(lo, hi, table)
     alive = live[row + lo] != 0
-    k, q, square = row[alive] + lo, q[alive], square[alive]
+    k, q, square = (row[alive] + lo).astype(dtype), q[alive].astype(dtype), square[alive]
     rank = np.searchsorted(primes, q) + 1
     # cuts: the factor q becomes s * r, ascending by q, then by (s, r)
     owner, i = _spans(offsets[rank - 1], offsets[rank] - offsets[rank - 1])
-    s, r = detached[i], remaining[i]
-    shrinks = s * r < q[owner]  # exactly when l < k
-    c, s, r = owner[shrinks], s[shrinks], r[shrinks]
+    s, r = detached[i].astype(dtype, copy=False), remaining[i].astype(dtype, copy=False)
+    sr = np.multiply(s, r, dtype=np.int64)
+    shrinks = sr < q[owner]  # exactly when l < k
+    c, s, r, sr = owner[shrinks], s[shrinks], r[shrinks], sr[shrinks]
     # fusions: factors a <= b of one k (a == b on a square) merge into the
     # prime of rank rank_a * rank_b; factor a meets itself on a square, then
     # each later factor of its k, so (a, b) come ordered by a and then b
@@ -231,21 +235,21 @@ def _block_edges(
     inside = rank[a] * rank[b] <= len(primes)
     a, b = a[inside], b[inside]
     fused = primes[rank[a] * rank[b] - 1]
-    product = q[a] * q[b]
+    product = np.multiply(q[a], q[b], dtype=np.int64)
     shrinks = fused < product
     a, b, fused, product = a[shrinks], b[shrinks], fused[shrinks], product[shrinks]
 
     edge_k = np.concatenate([k[c], k[a]])
-    edge_l = np.concatenate([k[c] // q[c] * (s * r), k[a] // product * fused])
+    edge_l = np.concatenate([k[c] // q[c] * sr, k[a] // product * fused]).astype(dtype)
     columns = [edge_k, edge_l, q[np.concatenate([c, a])], np.concatenate([s, q[b]])]
-    columns.append(np.concatenate([r, np.zeros(len(a), dtype=np.int64)]))
+    columns.append(np.concatenate([r, np.zeros(len(a), dtype=dtype)]))
     keep = live[edge_l] != 0
     columns = [col[keep] for col in columns]
     edge_k, edge_l = columns[:2]
-    # one key, ties left in generation order: 0 <= l < k <= hi, so the k term
-    # (hi - k) * (hi + 1) outweighs any l term in 0..hi; it stays below
-    # _PAIR_BLOCK * (hi + 1), far inside int64 for any n whose signs fit in memory
-    key = hi - edge_k
+    # one int64 key, ties left in generation order: 0 <= l < k <= hi, so the
+    # k term (hi - k) * (hi + 1) outweighs any l term in 0..hi; it stays
+    # below _PAIR_BLOCK * (hi + 1), past int32 from hi = 2**19 on
+    key = hi - edge_k.astype(np.int64)
     if policy != "first":
         key = key * (hi + 1) + (edge_l if policy == "smallest" else hi - edge_l)
     order = np.argsort(key, kind="stable")
@@ -273,7 +277,10 @@ def _greedy_rows(edge_k: np.ndarray, edge_l: np.ndarray, free: bytearray) -> lis
 # -- the pairing engine ---------------------------------------------------------
 
 _LAZY = ("pairs", "singletons", "move_log")  # the fields a column report builds on demand
-_CHUNK = 1 << 14  # rows (or integers of the singleton mask) per piece of JSON text
+# rows (or integers of the singleton mask) per piece of JSON text: writing the
+# report of pair_range(99956) peaks at 2.0 MB under tracemalloc, 7.0 MB with
+# 2**14 rows a piece
+_CHUNK = 1 << 12
 
 
 @dataclass
@@ -286,13 +293,14 @@ class PairingReport:
     the summatory function's absolute value at n.
 
     ``pair_range`` and ``report_from_pairs`` make reports that keep their
-    pairs as int64 rows (an object array of Python ints when a supplied
-    member is past int64) and their singletons as a mask; ``pairs``,
-    ``singletons`` and ``move_log`` are built from these when first read and
-    kept from then on.  Until one of them is built, ``to_json``,
-    ``write_json``, ``counts`` and ``validation_errors`` read the columns.
-    Only the constructor and ``replace()`` make a report that holds lists
-    from the start.
+    pairs as rows and their singletons as a mask: int32 rows from
+    ``pair_range`` (int64 from n = 2**31 on), int64 rows from
+    ``report_from_pairs`` (an object array of Python ints when a supplied
+    member is past int64).  ``pairs``, ``singletons`` and ``move_log`` are
+    built from these when first read and kept from then on.  Until one of
+    them is built, ``to_json``, ``write_json``, ``counts`` and
+    ``validation_errors`` read the columns.  Only the constructor and
+    ``replace()`` make a report that holds lists from the start.
     """
 
     n: int
@@ -314,9 +322,9 @@ class PairingReport:
         unpaired: np.ndarray,
         signs: np.ndarray,
     ) -> PairingReport:
-        """A report whose pairs are the rows of an int64 array (or of an
-        object array of Python ints), k, l and, with five columns, the move
-        x, y, z of ``_block_edges`` (each k in one row, as ``move_log``
+        """A report whose pairs are the rows of an int32 or int64 array (or
+        of an object array of Python ints), k, l and, with five columns, the
+        move x, y, z of ``_block_edges`` (each k in one row, as ``move_log``
         keeps one move per k); its singletons are marked in the bool
         ``unpaired`` (indexed by k, False at 0); bound and exact sum come
         from signs."""
@@ -477,7 +485,8 @@ def pair_range(
     of k at a time (``_block_edges``, from ``PrimeTable.factor_blocks`` and
     one table of the cuts of every prime <= n); each k still free reads its
     run of edges up to the first free partner (``_greedy_rows``), and the
-    chosen rows k, l, x, y, z go into one int64 array in the order taken.
+    chosen rows k, l, x, y, z go into one array in the order taken, int32
+    when n < 2**31 (every value is at most n) and else int64.
     When the primes up to n pass the cap (or a block raises a
     ``MatulaError``), the per-k search pairs from there down; it raises only
     where a prime the answer needs passes the cap.  A number whose
@@ -493,7 +502,7 @@ def pair_range(
     signs = _signs(n, mode, table)
     free = bytearray((signs != 0).tobytes())  # 1 while k has a sign and no partner
     live = np.frombuffer(free, dtype=np.bool_)  # a view: sees every take
-    rows = np.empty((np.count_nonzero(live) // 2, 5), dtype=np.int64)  # a pair takes two
+    rows = np.empty((np.count_nonzero(live) // 2, 5), dtype=_value_dtype(n))  # a pair takes two
     m = 0  # rows taken
     top = n  # every k above top is settled
     try:
@@ -670,33 +679,41 @@ def validate_report(report: PairingReport, table: PrimeTable | None = None) -> b
 
 # -- fixtures ----------------------------------------------------------------------
 
-# lines of a pair list split and converted at a time: a chunk's lists, strs
-# and ints take about 1 MB, so the parse stays below the checks that follow
-# in validate-pairs' peak (4x the lines add about 4.5 MB at 50k pairs)
-_PARSE_LINES = 1 << 12
+# characters of a pair list split and converted at a time, cut at a line end:
+# parsing a 50k-pair list peaks at 3.3 MB under tracemalloc, 6.4 MB while the
+# whole text's lines were held, so it stays below validate-pairs' later checks
+_PARSE_CHARS = 1 << 16
 
 
 def _pair_rows(text: str) -> np.ndarray:
     """The pairs of a hand-written list, two integers per line and '#'
     comments, as an (m, 2) int64 array; an object array of Python ints when
     a member is past int64.  Errors are those of ``load_pairs``."""
-    lines = text.splitlines()
-    comments = "#" in text
     chunks = [np.empty(0, dtype=np.int64)]
-    for start in range(0, len(lines), _PARSE_LINES):
-        part = lines[start : start + _PARSE_LINES]
-        rows = list(map(str.split, [line.split("#", 1)[0] for line in part] if comments else part))
-        bad = len(rows)
-        if not set(map(len, rows)) <= {0, 2}:
-            bad = next(i for i, parts in enumerate(rows) if len(parts) not in (0, 2))
-        numbers = list(map(int, chain.from_iterable(rows[:bad])))  # raises as int() does
-        if bad < len(rows):
-            raise ValueError(f"line {start + bad + 1}: expected two integers, got {part[bad]!r}")
-        try:
-            chunks.append(np.array(numbers, dtype=np.int64))
-        except OverflowError:
-            chunks.append(np.array(numbers, dtype=object))
+    start = line = 0  # the slice's first character and the lines before it
+    while start < len(text):
+        end = text.find("\n", start + _PARSE_CHARS) + 1 or len(text)
+        numbers, lines = _slice_numbers(text[start:end], line)
+        chunks.append(numbers)
+        start, line = end, line + lines
     return np.concatenate(chunks).reshape(-1, 2)
+
+
+def _slice_numbers(part: str, line: int) -> tuple[np.ndarray, int]:
+    """The integers of whole lines ``part`` of a pair list, whose first line
+    is line + 1, as int64 (an object array past int64), and its line count."""
+    lines = part.splitlines()
+    rows = list(map(str.split, [ln.split("#", 1)[0] for ln in lines] if "#" in part else lines))
+    bad = len(rows)
+    if not set(map(len, rows)) <= {0, 2}:
+        bad = next(i for i, parts in enumerate(rows) if len(parts) not in (0, 2))
+    numbers = list(map(int, chain.from_iterable(rows[:bad])))  # raises as int() does
+    if bad < len(rows):
+        raise ValueError(f"line {line + bad + 1}: expected two integers, got {lines[bad]!r}")
+    try:
+        return np.array(numbers, dtype=np.int64), len(rows)
+    except OverflowError:
+        return np.array(numbers, dtype=object), len(rows)
 
 
 def load_pairs(text: str) -> list[tuple[int, int]]:

@@ -30,6 +30,12 @@ _SEGMENT = 1 << 21          # integers per sieve chunk: an odd-only mask of 1 MB
 _AUTO_FACTOR_SIEVE = 1 << 22  # factorize() builds a smallest-factor sieve up to here
 _MIN_FACTOR_SIEVE = 1 << 16  # the smallest such sieve: 256 KB of int32, built in under 1 ms
 _CACHE_HEADER = struct.Struct("<QI")  # prime count, CRC-32 of the prime bytes
+_PARITY_PIECE = 1 << 14  # entries omega_parity walks at a time; bounds its work arrays
+
+
+def _value_dtype(top: int) -> np.dtype:
+    """int32 when every value to store is at most top < 2**31, else int64."""
+    return np.dtype(np.int32 if top < 2**31 else np.int64)
 
 
 def _nth_prime_bound(n: int) -> int:
@@ -338,8 +344,7 @@ class PrimeTable:
 
     def _factor_sieve(self, size: int) -> np.ndarray:
         """A new array of the smallest prime factor of each of 0..size-1."""
-        # a prime is its own entry, so int32 holds entries below 2**31 only
-        dtype = np.dtype(np.int32 if size <= 2**31 else np.int64)
+        dtype = _value_dtype(size - 1)  # a prime is its own entry
         try:
             spf = np.zeros(size, dtype=dtype)
         except MemoryError:
@@ -393,17 +398,21 @@ class PrimeTable:
         square factor above 1.
 
         Walks a smallest-factor sieve through the largest k, one prime
-        factor of every entry per step; a k's primes come ascending, so a
-        square is a prime met twice in a row.
+        factor of every entry per step, ``_PARITY_PIECE`` entries at a time
+        and in the sieve's dtype; a k's primes come ascending, so a square is
+        a prime met twice in a row.
         """
-        spf, rest = self._spf_through(int(ks.max(initial=1))), ks.astype(np.int64)
+        spf = self._spf_through(int(ks.max(initial=1)))
         odd, square = np.zeros((2, len(ks)), dtype=bool)
-        last = np.zeros(len(ks), dtype=spf.dtype)
-        while (live := rest > 1).any():
-            p = spf[rest]
-            square |= live & (p == last)
-            odd ^= live
-            last, rest = p, rest // p
+        for start in range(0, len(ks), _PARITY_PIECE):
+            piece = slice(start, start + _PARITY_PIECE)
+            rest = ks[piece].astype(spf.dtype)
+            last = np.zeros_like(rest)
+            while (live := rest > 1).any():
+                p = spf[rest]
+                square[piece] |= live & (p == last)
+                odd[piece] ^= live
+                last, rest = p, rest // p
         return odd, square
 
     def _factorize_trial(self, k: int) -> list[tuple[int, int]]:

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from matula import PrimeTable, pair_range
-from matula import pairing
+from matula import algebra, pairing
 from matula.algebra import _ordered_cuts, value_increasing_cuts
 from matula.errors import CapExceeded
 
@@ -44,15 +44,64 @@ def _outcome(n, mode, policy, cap):
         return type(exc), str(exc)
 
 
-def test_cut_table_matches_ordered_cuts_below_100000():
-    table = PrimeTable()
-    primes = table.primes_up_to(100_000)
-    offsets, detached, remaining = pairing._cut_table(primes, table)
+def _cut_table_checked(primes, table):
+    """``_cut_table(primes)``, after checking it against ``_ordered_cuts``."""
+    offsets, detached, remaining = algebra._cut_table(primes, table)
     assert len(offsets) == len(primes) + 1 and offsets[0] == offsets[1] == 0
     for m, q in enumerate(primes.tolist(), start=1):
         lo, hi = offsets[m - 1], offsets[m]
         got = list(zip(detached[lo:hi].tolist(), remaining[lo:hi].tolist()))
         assert got == [tuple(c) for c in _ordered_cuts(q, table)], q
+    return offsets, detached, remaining
+
+
+def test_cut_table_matches_ordered_cuts_below_100000():
+    table = PrimeTable()
+    _cut_table_checked(table.primes_up_to(100_000), table)
+
+
+def test_capped_cut_table_blocks_match_ordered_cuts(monkeypatch):
+    # blocks of at most 7 ranks: many capped blocks, and the buffer, 7
+    # columns at first, doubles several times
+    table = PrimeTable()
+    primes = table.primes_up_to(10**4)
+    blocks = []
+    distinct = algebra._distinct_factors
+
+    def record(lo, hi, table):
+        blocks.append((lo, hi))
+        return distinct(lo, hi, table)
+
+    monkeypatch.setattr(algebra, "_CUT_BLOCK", 7)
+    monkeypatch.setattr(algebra, "_distinct_factors", record)
+    offsets, detached, remaining = _cut_table_checked(primes, table)
+    assert all(hi - lo < 7 for lo, hi in blocks) and len(blocks) > len(primes) // 7
+    assert [lo for lo, _ in blocks[1:]] == [hi + 1 for _, hi in blocks[:-1]]
+    assert detached.dtype == remaining.dtype == np.int32
+    assert offsets[-1] > 2**10 * 7  # at least ten doublings
+
+
+def test_value_increasing_cuts_match_the_ordered_cuts_below_3000():
+    table = PrimeTable()
+    expected = sorted(
+        {
+            (q, s * r)
+            for q in table.primes_up_to(3000).tolist()
+            for s, r in _ordered_cuts(q, table)
+            if s * r > q
+        }
+    )
+    assert value_increasing_cuts(3000, table) == expected
+
+
+def test_value_increasing_cuts_multiply_int32_cuts_in_int64(monkeypatch):
+    # one cut of 7 into 50000 * 50000: 2.5e9 wraps to a negative int32
+    def one_cut(primes, table):
+        offsets = np.array([0, 0, 0, 0, 1], dtype=np.int64)
+        return offsets, np.array([50_000], dtype=np.int32), np.array([50_000], dtype=np.int32)
+
+    monkeypatch.setattr(algebra, "_cut_table", one_cut)
+    assert value_increasing_cuts(10, PrimeTable()) == [(7, 2_500_000_000)]
 
 
 _B = pairing._PAIR_BLOCK
@@ -138,6 +187,24 @@ def test_pair_json_bytes_at_a_million_are_pinned():
     text = pair_range(10**6, "liouville", "largest").to_json()
     digest = "b309fa16e9ae85472a16bc44f9ea55205eaa7ac092f5add33a059ea8cc7e51ef"
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_block_edges_of_the_block_holding_a_million_are_pinned():
+    # recorded as int64 columns before the columns became int32; there the
+    # sort key (hi - k) * (hi + 1) + hi - l passes 2**31, so a key computed
+    # in int32 would wrap and reorder the edges
+    table = PrimeTable()
+    lo = 10**6 // _B * _B
+    hi = lo + _B - 1
+    primes = table.primes_up_to(hi)
+    live = np.ones(hi + 1, dtype=bool)
+    live[0] = False
+    edges = pairing._block_edges(lo, hi, "largest", live, primes, pairing._cut_table(primes, table), table)
+    assert [col.dtype for col in edges] == [np.int32] * 5
+    columns = np.stack(edges).astype("<i8")
+    assert columns.shape == (5, 50213)
+    digest = "1c8b33fe17790473107aa541e64e074f3312f29b770900167d14a12833b6dd97"
+    assert hashlib.sha256(columns.tobytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,8 @@
 """Column reports against the list reports they stand for.
 
-``pair_range`` and ``report_from_pairs`` keep a pairing as int64 rows (object
-rows of Python ints past int64) and a singleton mask, and build ``pairs``,
+``pair_range`` keeps a pairing as int32 rows (int64 from n = 2**31 on) and
+``report_from_pairs`` as int64 rows (object rows of Python ints past int64),
+each with a singleton mask, and build ``pairs``,
 ``singletons`` and ``move_log`` when first read.  These tests hold such reports to the dataclass contract (``==``,
 ``replace()``, ``repr``), to the JSON of ``oracles.report_json_reference``
 before and after a field is built and mutated, to the per-member validator
@@ -11,6 +12,7 @@ The pair-list parser is checked against the loader it replaced.
 
 import io
 import os
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -281,18 +283,18 @@ def _outcome(parse, text):
         return type(exc), str(exc)
 
 
-@pytest.mark.parametrize("lines_per_chunk", [2, pairing._PARSE_LINES])
+@pytest.mark.parametrize("chars_per_slice", [2, pairing._PARSE_CHARS])
 @settings(max_examples=200, deadline=None)
 @given(
     st.lists(st.tuples(LINE, st.sampled_from(["\n", "\r\n", "\r"])), max_size=12),
     st.booleans(),
 )
-def test_the_pair_parser_matches_the_list_loader(lines_per_chunk, lines, last_newline):
+def test_the_pair_parser_matches_the_list_loader(chars_per_slice, lines, last_newline):
     text = "".join(line + end for line, end in lines)
     if lines and not last_newline:
         text = text[: -len(lines[-1][1])]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pairing, "_PARSE_LINES", lines_per_chunk)
+        mp.setattr(pairing, "_PARSE_CHARS", chars_per_slice)
         expected = _outcome(load_pairs_reference, text)
         assert _outcome(load_pairs, text) == expected
         if isinstance(expected, list):
@@ -306,7 +308,27 @@ def test_the_pair_parser_matches_the_list_loader(lines_per_chunk, lines, last_ne
 def test_the_pair_parser_on_empty_text_and_a_late_fault(monkeypatch):
     assert pairing._pair_rows("").shape == (0, 2) and pairing._pair_rows("").dtype == np.int64
     assert load_pairs("# only\n\n") == []
-    monkeypatch.setattr(pairing, "_PARSE_LINES", 4)
+    monkeypatch.setattr(pairing, "_PARSE_CHARS", 4)
     text = "1 2\n" * 9 + "3\n"
     with pytest.raises(ValueError, match=r"^line 10: expected two integers, got '3'$"):
         load_pairs(text)
+
+
+def test_the_pair_parser_of_50k_pairs_peaks_below_5_mb():
+    # the parse holds one slice of lines at a time: 6.3 MB while it held
+    # the whole text's splitlines() list
+    text = "".join(f"{k} {k - 1}\n" for k in range(100_000, 0, -2))
+    tracemalloc.start()
+    try:
+        rows = pairing._pair_rows(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows.shape == (50_000, 2) and rows[-1].tolist() == [2, 1]
+    assert peak < 5 * 2**20
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_pair_range_keeps_int32_rows(table, mode):
+    rows, _ = pair_range(3000, mode, "largest", table)._columns
+    assert rows.dtype == np.int32 and rows.shape[1] == 5

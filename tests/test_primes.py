@@ -22,6 +22,7 @@ from matula.primes import (
     _pi_bound,
     _rank_ceiling,
     _spans,
+    _value_dtype,
 )
 from oracles import distinct_factors_reference, primes_below, trial_factor_count, trial_squarefree
 
@@ -409,6 +410,25 @@ def test_omega_parity_matches_trial_division():
     odd, square = PrimeTable().omega_parity(ks[::-1])
     assert odd[::-1].tolist() == [trial_factor_count(k) % 2 == 1 for k in ks.tolist()]
     assert square[::-1].tolist() == [not trial_squarefree(k) for k in ks.tolist()]
+
+
+def test_omega_parity_of_100000_entries_peaks_below_2_mb():
+    # pieces of 2**14 entries in the sieve's int32: 3.1 MB while every
+    # entry was walked at once in int64
+    ks = np.arange(1, 10**5 + 1)
+    t = PrimeTable()
+    tracemalloc.start()
+    try:
+        odd, square = t.omega_parity(ks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert int(odd.sum()) == 50_144 and int(square.sum()) == 39_206  # L = -288, Q = 60794
+    assert peak < 2 * 2**20
+
+
+def test_values_below_2_31_are_stored_as_int32():
+    assert _value_dtype(2**31 - 1) == np.int32 and _value_dtype(2**31) == np.int64
 
 
 # -- nth_primes: selected ranks without storing the primes between them ------
