@@ -8,7 +8,8 @@ forest path kept as an independent cross-check in the tests.  The bracket
 text of a range (``table_text``) and the leaf classes are arithmetic too:
 they build no tree or forest object.  The table builds the keys of a block's
 primes together, level by level from the smallest-factor sieve, and the
-block's text with one join.
+block's text with one join; it memoises only the keys that another key of
+its range can contain.
 """
 
 from __future__ import annotations
@@ -21,12 +22,22 @@ import numpy as np
 
 from .errors import CapExceeded, MatulaError
 from .forests import Forest, Tree, attach_root, detach_root
-from .primes import _AUTO_FACTOR_SIEVE, PrimeTable, _block_factors, default_table
+from .primes import (
+    _AUTO_FACTOR_SIEVE,
+    PrimeTable,
+    _block_factors,
+    _nth_prime_bound,
+    default_table,
+)
 
 # Math values below do not depend on which table computed them, so the caches
 # are module-global; dict reads/writes are atomic under CPython.  A hit counts
 # only for a prime within the table's cap: computing prime p afresh touches
 # no prime above p, so a hit answers what the table itself would.
+# ``_key_of_prime`` gets every prime ``_prime_key`` keys, but from a table up
+# to hi only the primes up to pi(hi): every rank there is at most pi(hi), so
+# no key of the range holds a larger prime, and each larger prime's key
+# lives only as long as the block that prints it.
 _tree_of_prime: dict[int, Tree] = {}
 _number_of_tree: dict[Tree, int] = {}
 _vaf_of_prime: dict[int, tuple[int, int, int]] = {}
@@ -128,36 +139,42 @@ def _sorted_keys(n: int, table: PrimeTable) -> list[str]:
     return keys
 
 
-def _prime_keys(primes: np.ndarray, table: PrimeTable) -> list[str]:
+def _prime_keys(primes: np.ndarray, table: PrimeTable, top: int | None = None) -> list[str]:
     """Keys of the distinct primes given, in their order, each what
-    ``_prime_key`` returns; the missing ones are built together and memoised.
+    ``_prime_key`` returns; the missing ones are built together
+    (``_build_keys``), and those up to top (all by default) memoised.
 
     A memo hit counts only for a prime within the cap, as in ``_prime_key``.
     """
     held = np.fromiter(map(_key_of_prime.__contains__, primes.tolist()), bool, len(primes))
     missing = primes[~held | (primes > table.cap)]
-    if len(missing):
-        _build_keys(missing, table)
-    return list(map(_key_of_prime.__getitem__, primes.tolist()))
+    built = _build_keys(missing, table) if len(missing) else {}
+    _key_of_prime.update([(p, key) for p, key in built.items() if top is None or p <= top])
+    primes = primes.tolist()
+    return list(map(built.get, primes, map(_key_of_prime.get, primes)))
 
 
-def _build_keys(missing: np.ndarray, table: PrimeTable) -> None:
-    """Memoise the keys of distinct primes, one level of their trees at a time.
+def _build_keys(missing: np.ndarray, table: PrimeTable) -> dict[int, str]:
+    """Keys of distinct primes by prime, one level of their trees at a time;
+    the caller decides which to memoise.
 
     One ``searchsorted`` gives every rank, a walk of the smallest-factor
-    sieve factors them all, one ``_prime_keys`` call on their distinct
-    factors gives the next level, and ``_join_groups`` lays every key out.
-    A missing prime that is also a factor at some later level gets its key
-    there and is left out of this one, so each key is written once.
-    The table grows to the largest prime as ``prime_rank`` would grow it, so
-    a prime past the cap raises CapExceeded.  A rank past the automatic
-    factor sieve goes through ``_prime_key`` (trial division), so no call
-    builds a larger sieve than ``factorize`` would.
+    sieve factors them all, one ``_prime_keys`` call keys and memoises their
+    distinct factors, the next level (all at most pi of the largest prime),
+    and ``_join_groups`` lays every key out.  A missing prime that is also a
+    factor at some later level is memoised there and left out of the result,
+    so each key is built once per call.  The table grows to the largest
+    prime as ``prime_rank`` would grow it, so a prime past the cap raises
+    CapExceeded.  A rank past the automatic factor sieve is factored by
+    ``_sorted_keys`` (trial division), so no call builds a larger sieve than
+    ``factorize`` would.
     """
     ranks = np.searchsorted(table.primes_up_to(int(missing.max())), missing) + 1
     far = ranks > _AUTO_FACTOR_SIEVE
-    for p in missing[far].tolist():
-        _prime_key(p, table)
+    built = {
+        p: "[%s]" % "".join(_sorted_keys(k, table))
+        for p, k in zip(missing[far].tolist(), ranks[far].tolist())
+    }
     missing, ranks = missing[~far], ranks[~far]
     owners, factors = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
     owner = np.flatnonzero(ranks > 1)  # rank 1, the prime 2, has no factor
@@ -179,7 +196,8 @@ def _build_keys(missing: np.ndarray, table: PrimeTable) -> None:
     missing = missing[mine]
     heads = ["["] + ["]\t["] * (len(missing) - 1) + ["]"]  # the keys, tab-separated
     text = _join_groups(heads, owner, which, words, "")
-    _key_of_prime.update(zip(missing.tolist(), text.split("\t")))
+    built.update(zip(missing.tolist(), text.split("\t")))
+    return built
 
 
 def _join_groups(
@@ -188,11 +206,13 @@ def _join_groups(
     """heads[0] + group 0 + heads[1] + ... + group k-1 + heads[k] in one
     join, group i being the words[which[j]] with owner[j] == i in ascending
     string order, separated by sep.  The token order comes from ``_slots``,
-    so its sort arrays are freed before the join: that keeps a table block
-    at the peak memory of a join per row."""
+    so its sort arrays are freed before the join, and the token array goes
+    before the join too: that keeps a table block at the peak memory of a
+    join per row."""
     pool = words + [sep + w for w in words] if sep else words
     tokens = np.array(pool + heads, dtype=object)[_slots(len(heads), owner, which, words, sep)]
-    return "".join(tokens.tolist())
+    tokens = tokens.tolist()
+    return "".join(tokens)
 
 
 def _slots(
@@ -207,13 +227,16 @@ def _slots(
     """
     rank = np.empty(len(words), dtype=np.int64)
     rank[sorted(range(len(words)), key=words.__getitem__)] = np.arange(len(words))
-    order = np.argsort(rank[which] + owner * len(words))
+    order = np.multiply(owner, len(words), dtype=np.int64)
+    order += rank[which]
+    order = np.argsort(order)
     owner, which = owner[order], which[order]
+    del order
     pool = len(words)
     if sep:
-        which[1:] += pool * (owner[1:] == owner[:-1])
+        np.add(which[1:], pool, out=which[1:], where=owner[1:] == owner[:-1])
         pool *= 2
-    at = np.searchsorted(owner, np.arange(heads))
+    at = np.concatenate(([0], np.cumsum(np.bincount(owner, minlength=heads - 1))))
     return np.insert(which, at, np.arange(pool, pool + heads))
 
 
@@ -225,18 +248,21 @@ def table_text(lo: int, hi: int, table: PrimeTable | None = None) -> Iterator[st
     of rows aligned to multiples of _TABLE_BLOCK.
 
     A block builds the keys it misses together (``_prime_keys``) and its
-    text with one join (``_table_block``).  Rows go one at a time, through
-    ``_sorted_keys``, past 2**62 (int64 work arrays) and from the first
-    block that raises a MatulaError: it fails on one of its own rows, or on
-    sqrt of its end past the cap, as every later block then does too.  So
-    every row before a failing one is yielded, as ``arborify`` would print it.
+    text with one join (``_table_block``).  Of those keys, it memoises the
+    ones of primes up to pi(hi), which later blocks can read inside their
+    keys; a larger prime's key is built again by each block it divides.
+    Rows go one at a time, through ``_sorted_keys``, past 2**62 (int64 work
+    arrays) and from the first block that raises a MatulaError: it fails on
+    one of its own rows, or on sqrt of its end past the cap, as every later
+    block then does too.  So every row before a failing one is yielded, as
+    ``arborify`` would print it.
     """
     if lo < 1 or hi < lo:
         raise ValueError(f"bad range: from {lo} to {hi}")
     table = table or default_table()
     try:
         for start, rest, powers in table.factor_blocks(lo, min(hi, 2**62 - 1), _TABLE_BLOCK):
-            yield _table_block(start, rest, powers, table)
+            yield _table_block(start, rest, powers, hi, table)
             lo = start + len(rest)
     except MatulaError:
         pass
@@ -244,19 +270,29 @@ def table_text(lo: int, hi: int, table: PrimeTable | None = None) -> Iterator[st
         yield f"{n}\t{' '.join(_sorted_keys(n, table))}\n"
 
 
-def _table_block(lo: int, rest: np.ndarray, powers: list, table: PrimeTable) -> str:
+def _table_block(lo: int, rest: np.ndarray, powers: list, hi: int, table: PrimeTable) -> str:
     """Table lines of the ``PrimeTable.factor_blocks`` block that starts at lo.
 
     Each prime power's multiples get one factor p; a remainder above 1 is one
     more prime factor (``_block_factors``).  The keys of the block's distinct
     primes come from ``_prime_keys``, and ``_join_groups`` writes the rows:
-    each row's head ``"\\n{n}\\t"`` (no newline on the first), then its keys
-    in string order, space-separated, and one newline at the end.
+    each row's head ``"\\n%d\\t"`` (no newline on the first), then its keys
+    in string order, space-separated, and one newline at the end; one ``%``
+    numbers the heads.
     """
     row, p = _block_factors(rest, powers)
     primes, which = np.unique(p, return_inverse=True)
-    heads = [f"{lo}\t", *[f"\n{n}\t" for n in range(lo + 1, lo + len(rest))], "\n"]
-    return _join_groups(heads, row, which, _prime_keys(primes, table), " ")
+    row, which = row.astype(np.int32), which.astype(np.int32)  # a block is short
+    del p
+    # A block prime p <= m occurs in another key of lo..hi iff p_p <= hi,
+    # which the primes up to min(hi, p_m) settle.  Past the cap,
+    # _prime_keys raises before any sieving here.
+    m, top = int(primes.max(initial=1)), 0
+    if m <= table.cap:
+        top = len(table.primes_up_to(min(hi, table.cap, _nth_prime_bound(m))))
+    heads = ["%d\t"] + ["\n%d\t"] * (len(rest) - 1) + ["\n"]  # keys hold no %
+    text = _join_groups(heads, row, which, _prime_keys(primes, table, top), " ")
+    return text % tuple(range(lo, lo + len(rest)))
 
 
 @dataclass(frozen=True)
@@ -372,7 +408,7 @@ def integers_with_leaf_count(
     return np.flatnonzero(leaves == leaf_count).tolist()
 
 
-_LEAF_BLOCK = 1 << 16  # integers per vectorised step of ``_leaf_counts``
+_LEAF_BLOCK = 1 << 14  # integers per vectorised step of ``_leaf_counts``
 
 
 def _leaf_counts(bound: int, table: PrimeTable) -> np.ndarray:
@@ -383,8 +419,9 @@ def _leaf_counts(bound: int, table: PrimeTable) -> np.ndarray:
     for a composite k and f[p] = max(f[pi(p)], 1) for a prime.  For lo >= 16
     every k in [lo, 2 lo) reads only entries below lo (pi(2 lo) < lo), so
     such a block is a few array assignments; below 16 they go one at a time.
-    f(n) <= log2 n, so int8 holds it.  Raises CapExceeded, naming the first
-    prime past the cap, when 2..bound holds one.
+    A block holds at most _LEAF_BLOCK integers, which bounds its work
+    arrays.  f(n) <= log2 n, so int8 holds it.  Raises CapExceeded, naming
+    the first prime past the cap, when 2..bound holds one.
     """
     cap = table.cap
     top = min(bound, 2 * cap)  # Bertrand: (cap, 2 cap] holds a prime

@@ -414,11 +414,17 @@ def _row_moves(rows: np.ndarray) -> Iterator[tuple[int, int, dict]]:
 def _decimal_order(keys: np.ndarray) -> np.ndarray:
     """Indices that put positive int64 keys in the order of their decimal
     strings: by the digits padded with zeros to a common length, then by
-    length (a key whose digits are a prefix of another's comes first)."""
-    keys = keys.astype(np.uint64)  # 10**19 > 2**63: pad without overflow
-    digits = np.searchsorted(10 ** np.arange(1, 20, dtype=np.uint64), keys, side="right") + 1
-    padded = keys * (10 ** (digits.max(initial=1) - digits)).astype(np.uint64)
-    return np.lexsort((digits, padded))
+    length (a key whose digits are a prefix of another's comes first).
+    Keys below 10**9 pad to 9 digits in uint32, larger ones to 19 in uint64
+    (below 10**19 < 2**64); the digit counts are uint8."""
+    narrow = keys.max(initial=0) < 10**9
+    powers = 10 ** np.arange(9 if narrow else 19, dtype=np.uint32 if narrow else np.uint64)
+    keys = keys.astype(powers.dtype)
+    digits = np.ones(len(keys), dtype=np.uint8)
+    for power in powers[1:]:
+        digits += keys >= power
+    keys *= powers[digits.max(initial=1) - digits]
+    return np.lexsort((digits, keys))
 
 
 def _joined(pieces: Iterator[str]) -> Iterator[str]:

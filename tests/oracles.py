@@ -131,6 +131,27 @@ def primes_below(n: int) -> list[int]:
     return [i for i, ok in enumerate(flags) if ok]
 
 
+def leaf_counts_reference(bound: int) -> list[int]:
+    """Leaf count of the forest of each k in 0..bound (0 for 0 and 1) by the
+    recurrence alone: f(p_n) = max(f(n), 1) for the n-th prime and f(ab) =
+    f(a) + f(b), over a plain list sieve of smallest factors."""
+    spf = list(range(bound + 1))
+    for p in range(2, isqrt(bound) + 1):
+        if spf[p] == p:
+            for m in range(p * p, bound + 1, p):
+                if spf[m] == m:
+                    spf[m] = p
+    f = [0] * (bound + 1)
+    rank = 0
+    for k in range(2, bound + 1):
+        if spf[k] == k:
+            rank += 1
+            f[k] = max(f[rank], 1)
+        else:
+            f[k] = f[spf[k]] + f[k // spf[k]]
+    return f
+
+
 def distinct_factors_reference(rest: np.ndarray, powers: list):
     """(row, prime, square) of a ``PrimeTable.factor_blocks`` block, one
     prime power at a time: every distinct prime factor of every row, sorted

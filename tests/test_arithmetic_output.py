@@ -9,6 +9,8 @@ is the oracle.
 import contextlib
 import hashlib
 import io
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -34,7 +36,7 @@ from matula.bijection import (
     table_text,
 )
 from matula.cli import main
-from oracles import fresh_memos, primes_below, table_rows
+from oracles import fresh_memos, leaf_counts_reference, primes_below, table_rows
 
 
 def _run(argv: list[str]) -> tuple[int, str, str]:
@@ -297,3 +299,98 @@ def test_bulk_keys_are_written_once_at_benchmark_scale():
     digest = "c566ff956e1150ee9c39204a09e53e0489c396f169a07afc156d106c5ac4637b"
     assert (code, hashlib.sha256(out.encode()).hexdigest(), err) == (0, digest, "")
     assert memo.writes == len(memo) > 0
+
+
+def _row_by_row(lo: int, hi: int, table) -> str:
+    """The table text of lo..hi one row at a time, through ``_sorted_keys``."""
+    return "".join(f"{n}\t{' '.join(_sorted_keys(n, table))}\n" for n in range(lo, hi + 1))
+
+
+@pytest.mark.parametrize("first, last", [(130, 130), (131, 132), (165, 166)])
+def test_windows_across_block_edges_match_the_rows_cold_and_warm(table, first, last):
+    # windows around the block edges first * B .. last * B near the benchmark
+    # range, with hi = 679988 in the last one; the block path memoises only
+    # keys of primes up to pi(hi), and reads a larger prime's key from the
+    # memo when it is there
+    lo, hi = first * _TABLE_BLOCK - 300, min(last * _TABLE_BLOCK + 300, 679988)
+    pi_hi = len(primes_below(hi))
+    with fresh_memos():
+        expected = _row_by_row(lo, hi, table)
+    with fresh_memos():
+        assert "".join(table_text(lo, hi, table)) == expected
+        assert max(bijection._key_of_prime) <= pi_hi
+    factors = {p for n in range(lo, hi + 1) for p, _ in table.factorize(n)}
+    large = sorted(p for p in factors if p > pi_hi)[::3]
+    assert len(large) > 10
+    with fresh_memos():
+        for p in large:  # keyed one at a time, as ``_sorted_keys`` keys them
+            arborify(p, table)
+            _prime_key(p, table)
+        assert "".join(table_text(lo, hi, table)) == expected
+        assert sorted(p for p in bijection._key_of_prime if p > pi_hi) == large
+
+
+def test_a_cold_benchmark_table_memoises_the_primes_up_to_pi_hi_in_bounded_memory(monkeypatch):
+    # pi(679988) = 55061: only primes up to it occur inside another key of
+    # the range, and each of them divides one of its 150001 rows.  Traced
+    # peak on a fresh table: 7.9 MB while every key stayed memoised, 2.8 MB
+    # with this rule.  Each of those 5,597 keys is built once, and each of
+    # the 31,188 larger primes' keys once per block it divides: 41,738
+    # builds of 36,785 keys
+    built = []
+    build_keys = bijection._build_keys
+
+    def count(missing, table):
+        keys = build_keys(missing, table)
+        built.extend(keys)
+        return keys
+
+    monkeypatch.setattr(bijection, "_build_keys", count)
+    with fresh_memos():
+        tracemalloc.start()
+        try:
+            for _ in table_text(529988, 679988, PrimeTable()):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        memo = sorted(bijection._key_of_prime)
+    assert len(memo) == 5597 and memo == primes_below(55061)
+    assert peak < 5 * 2**20
+    assert len(built) == 41_738 and len(set(built)) == 36_785
+    assert min(p for p, times in Counter(built).items() if times > 1) > 55061
+
+
+def test_a_capped_table_prints_every_row_before_its_failing_row(table, monkeypatch):
+    # the first block keys its primes with the cap bounding pi(hi); the next
+    # holds 600011, the first prime past the cap, and goes row by row to it
+    capped = PrimeTable(cap=600_000)
+    with fresh_memos():
+        expected = _row_by_row(597_000, 600_010, table)
+    rows = []
+
+    def row_keys(n, table):
+        rows.append(n)
+        return _sorted_keys(n, table)
+
+    monkeypatch.setattr(bijection, "_sorted_keys", row_keys)
+    got = []
+    with fresh_memos(), pytest.raises(CapExceeded) as exc:
+        for chunk in table_text(597_000, 601_000, capped):
+            got.append(chunk)
+    assert "".join(got) == expected
+    assert exc.value.needed == 600_011
+    assert rows[0] == 146 * _TABLE_BLOCK  # 598016: rows before it went by block
+
+
+def test_leaf_counts_in_blocks_of_7_follow_the_recurrence(table, monkeypatch):
+    monkeypatch.setattr(bijection, "_LEAF_BLOCK", 7)
+    assert _leaf_counts(3000, table).tolist() == leaf_counts_reference(3000)
+    with pytest.raises(CapExceeded) as exc:
+        _leaf_counts(3000, PrimeTable(cap=1000))
+    assert exc.value.needed == 1009
+
+
+def test_leaf_counts_across_whole_blocks_follow_the_recurrence(table):
+    bound = 4 * bijection._LEAF_BLOCK + 3  # past the edges at 2, 3 and 4 blocks
+    assert _leaf_counts(bound, table).tolist() == leaf_counts_reference(bound)

@@ -17,7 +17,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from matula import PairingReport, PrimeTable, load_pairs, pair_range, report_from_pairs
@@ -332,3 +332,27 @@ def test_the_pair_parser_of_50k_pairs_peaks_below_5_mb():
 def test_pair_range_keeps_int32_rows(table, mode):
     rows, _ = pair_range(3000, mode, "largest", table)._columns
     assert rows.dtype == np.int32 and rows.shape[1] == 5
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    keys=st.lists(
+        st.one_of(
+            st.integers(1, 1000),
+            st.integers(1, 10**9 + 5),
+            st.integers(1, 2**63 - 1),
+            st.sampled_from([10**9 - 1, 10**9]),
+        ),
+        max_size=60,
+    ),
+    dtype=st.sampled_from([np.int32, np.int64]),
+)
+@example(keys=[5, 10, 1, 100, 99, 10**9 - 1, 10**9, 10**9 + 1, 2**63 - 1], dtype=np.int64)
+@example(keys=[5, 10, 1, 100, 99, 10**9 - 1, 5], dtype=np.int32)
+def test_decimal_order_is_the_order_of_the_decimal_strings(keys, dtype):
+    # keys below 10**9 pad in uint32, larger ones in uint64; equal keys keep
+    # their order
+    if dtype == np.int32:
+        keys = [k % 2**31 or 1 for k in keys]
+    order = pairing._decimal_order(np.array(keys, dtype=dtype))
+    assert order.tolist() == sorted(range(len(keys)), key=lambda i: str(keys[i]))
