@@ -1,8 +1,8 @@
 """Command-line front end: every library operation behind one subcommand.
 
 Exit codes: 0 success, 2 usage error, 3 domain error (bad value, non-prime
-input, malformed brackets, invalid pair fixture), 4 prime-cap overflow or a
-sieve larger than the machine grants.
+input, malformed brackets, invalid pair fixture), 4 prime-cap overflow, a
+sieve larger than the machine grants, or any other allocation it refuses.
 """
 
 from __future__ import annotations
@@ -376,6 +376,10 @@ def main(argv: list[str] | None = None) -> int:
         return _run(args)
     except (CapExceeded, SieveTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 4
+    except MemoryError:  # an allocation no typed guard foresaw
+        print(f"error: {args.command} needs more memory than this machine could allocate",
+              file=sys.stderr)
         return 4
     except (NotPrime, ParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,6 +13,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from itertools import chain
+from math import isqrt
 from operator import index, itemgetter
 from typing import TextIO
 
@@ -65,6 +66,9 @@ def summatory(n: int, mode: str, table: PrimeTable | None = None) -> int:
     if n < 1:
         raise ValueError(f"summatory expects n >= 1, got {n}")
     table = table or default_table()
+    if isqrt(n) > table.cap:  # refuse where the block loop would, before sieving to it
+        first = ((table.cap + 1) ** 2 // _SIGN_BLOCK + 1) * _SIGN_BLOCK - 1  # its block's end
+        raise CapExceeded(isqrt(min(n, first)), table.cap)
     return sum(int(block.sum()) for block in _sign_blocks(1, n, mode, table))
 
 

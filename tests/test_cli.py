@@ -11,6 +11,7 @@ import time
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -492,6 +493,13 @@ CAPPED = {
     "--cap 36 pair 36 --mode mobius --format json": (
         0, "", "cb9f71f8e7b6f028e88f87a7203bcaaa15852b7b25de4f5aea3cceea0241b12d"
     ),
+    # summatory refuses up front when sqrt(n) passes the cap, naming the
+    # prime the block sieve reached before it did: sqrt of the end of the
+    # first block whose base primes pass the cap, or of n
+    "--cap 1000 summatory 1002001": (4, _past(1001, 1000), None),
+    "--cap 1000 summatory 1048575": (4, _past(1023, 1000), None),
+    "--cap 1000 summatory 2000000": (4, _past(1023, 1000), None),
+    "--cap 1000 summatory 1002000": (0, "", "07b26ec10c0cf82fccccb0ab2fdd9a215bb560000db160fe80239f9c91f69d4c"),  # -472
     "--cap 35 partners 35": (0, "", "f4ccd05b3271c386ee55d9876c7450012a3b361e5065c09dc22075e38b3cc35c"),
     "--cap 49 partners 49": (0, "", "084c799cd551dd1d8d5c5f9a5d593b2e931f5e36122ee5c793c1d08a19839cc0"),
 }
@@ -517,6 +525,32 @@ def test_pair_under_a_cap_just_below_n_runs_the_per_k_search(capsys):
             code, out, err = run(capsys, "--cap", "1000", *argv)
             assert (code, out, err) == (0, run(capsys, *argv)[1], ""), (mode, n)
     assert run(capsys, "--cap", "1000", "pair", "1009") == (4, "", _past(1009, 1000))
+
+
+def test_summatory_past_the_cap_squared_refuses_at_once(capsys):
+    # the block sieve would reach its refusal only after about 10**12 integers
+    started = time.perf_counter()
+    code, out, err = run(capsys, "--cap", "1000000", "summatory", str(10**30))
+    assert (code, out, err) == (4, "", _past(1000001, 1000000))
+    assert time.perf_counter() - started < 1
+
+
+@pytest.mark.parametrize("numpy_refuses", [False, True])
+def test_a_stray_memory_error_exits_4_naming_the_subcommand(capsys, monkeypatch, numpy_refuses):
+    # the typed guards (SieveTooLarge) name the limit; any other allocation
+    # the machine refuses still ends in exit 4, not a traceback with exit 1
+    from matula import bijection
+
+    def refuse(*_args):
+        if numpy_refuses:  # 1 EiB, past any address space: refused at once
+            np.empty(1 << 60, dtype=np.uint8)
+        raise MemoryError
+
+    monkeypatch.setattr(bijection, "integers_of_degree", refuse)
+    code, out, err = run(capsys, "degree-list", "5")
+    assert (code, out) == (4, "")
+    assert err == "error: degree-list needs more memory than this machine could allocate\n"
+    assert "Traceback" not in err
 
 
 def test_degree_list_of_empty_levels(capsys):

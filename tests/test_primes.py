@@ -10,13 +10,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from matula import CapExceeded, NotPrime, PrimeTable, SieveTooLarge, algebra
+from matula import CapExceeded, NotPrime, PrimeTable, SieveTooLarge, algebra, prime_counts
 from matula.bijection import integers_with_leaf_count, table_text
 from matula.primes import (
     MAX_CAP,
     _CACHE_HEADER,
     _SEGMENT,
     _block_factors,
+    _checkpoints,
     _distinct_factors,
     _nth_prime_bound,
     _pi_bound,
@@ -644,6 +645,111 @@ def test_nth_primes_from_threads_sharing_a_table(table):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
+
+
+# -- checkpoints: pi(j * _SEGMENT) up to 2**32 ------------------------------
+
+
+def test_checkpoints_are_spaced_by_the_segment_up_to_2_32():
+    counts = _checkpoints()
+    assert prime_counts.SPACING == _SEGMENT
+    assert len(counts) == 2**32 // _SEGMENT + 1 and counts.dtype == np.int64
+    assert counts[0] == 0 and counts[-1] == 203_280_221  # pi(2**32)
+    assert np.all(np.diff(counts) > 0) and not counts.flags.writeable
+
+
+def test_checkpoints_recount_the_first_128_segments():
+    base = PrimeTable._sieve_segment(2, isqrt(128 * _SEGMENT), np.empty(0, dtype=np.int64))
+    counts = [0]
+    for j in range(128):
+        segment = PrimeTable._sieve_segment(j * _SEGMENT + 1, (j + 1) * _SEGMENT, base)
+        counts.append(counts[-1] + len(segment))
+    assert _checkpoints()[:129].tolist() == counts
+
+
+@pytest.mark.parametrize("j", [1, 3, 64, 129, 700, 1333, 2047, 2048])
+def test_checkpoints_match_sympy_primepi(j):
+    sympy = pytest.importorskip("sympy")
+    assert _checkpoints()[j] == sympy.primepi(j * _SEGMENT)
+
+
+def _segment(j: int) -> list[int]:
+    """The primes in (j * _SEGMENT, (j + 1) * _SEGMENT], listed."""
+    return PrimeTable._sieve_segment(j * _SEGMENT + 1, (j + 1) * _SEGMENT, np.empty(0, dtype=np.int64)).tolist()
+
+
+@pytest.mark.parametrize("j", [1, 2, 77, 1024, 2047])
+def test_nth_primes_around_a_checkpoint_reads_the_listed_segments(j):
+    # p_(C[j]) closes segment j - 1 and p_(C[j] + 1) opens segment j
+    c = int(_checkpoints()[j])
+    before, after = _segment(j - 1), _segment(j)
+    t = PrimeTable()
+    got = t.nth_primes([c + 1, c - 1, c])
+    assert got.tolist() == [after[0], before[-2], before[-1]]
+    assert t.count < 10**4  # the table grew only to the base primes
+
+
+def test_nth_primes_sieves_only_the_segments_that_hold_a_rank(monkeypatch):
+    # segment 100 up to its last prime, segment 900 only near its start
+    counts, pieces = _checkpoints(), []
+    one, nine = _segment(100), _segment(900)
+    sieve = PrimeTable._sieve_mask
+
+    def spy(lo, hi, base):
+        if lo > 2:  # not the base primes
+            pieces.append((lo, hi))
+        return sieve(lo, hi, base)
+
+    monkeypatch.setattr(PrimeTable, "_sieve_mask", staticmethod(spy))
+    ranks = [int(counts[900]) + 5, int(counts[100]) + 1, int(counts[900]) + 9, int(counts[101])]
+    got = PrimeTable().nth_primes(ranks).tolist()
+    assert got == [nine[4], one[0], nine[8], one[-1]]
+    assert pieces[0] == (100 * _SEGMENT + 1, 101 * _SEGMENT)
+    assert [lo for lo, _ in pieces[1:]] == [900 * _SEGMENT + 1]
+    assert nine[8] <= pieces[1][1] < nine[8] + 10_000
+
+
+def test_nth_primes_past_2_32_counts_the_segments_in_between():
+    # under a cap above 2**32 the ranks past the last checkpoint are found
+    # by counting the segments after it, each of which is also listed here
+    top = int(_checkpoints()[-1])
+    j = 2**32 // _SEGMENT
+    listed = [_segment(j + k) for k in range(3)]
+    ranks = [top + len(listed[0]) + len(listed[1]) + 7, top + 1, top + len(listed[0])]
+    expected = [listed[2][6], listed[0][0], listed[0][-1]]
+    assert PrimeTable(cap=2**33).nth_primes(ranks).tolist() == expected
+    # under the default cap the first rank past pi(2**32) fails, as
+    # nth_prime(top + 1) would after sieving all 2**32
+    with pytest.raises(CapExceeded) as exc:
+        PrimeTable().nth_primes([5, top + 2, top, top + 1])
+    assert str(exc.value) == str(CapExceeded(_nth_prime_bound(top + 2), 2**32))
+
+
+@pytest.mark.parametrize("j", [1, 3])
+@pytest.mark.parametrize("d", [-1, 0, 1])
+def test_nth_primes_under_a_cap_at_a_checkpoint_raises_what_the_loop_raises(table, j, d):
+    cap = j * _SEGMENT + d
+    last = _pi(table, cap)
+    for ranks in ([last - 1, last, 3], [last, last + 1, last - 1], [last + 2, 1, last + 1]):
+        expected = _loop(PrimeTable(cap=cap), ranks)
+        if isinstance(expected, Exception):
+            with pytest.raises(type(expected)) as exc:
+                PrimeTable(cap=cap).nth_primes(ranks)
+            assert str(exc.value) == str(expected)
+        else:
+            assert PrimeTable(cap=cap).nth_primes(ranks).tolist() == expected
+
+
+def test_sieve_segment_around_the_presieved_pattern():
+    # the pattern strikes 3, 5, 7 and 11 themselves and repeats every 1155
+    # odd slots: segments starting below 11, and spanning periods
+    sympy = pytest.importorskip("sympy")
+    empty = np.empty(0, dtype=np.int64)
+    period = 2 * 1155
+    for lo in (0, 1, 2, 3, 4, 10, 11, 12, 13, period - 1, period, period + 1, 7 * period + 3):
+        for hi in (lo + 1, lo + period - 1, lo + period, lo + period + 1, lo + 5 * period + 17):
+            got = PrimeTable._sieve_segment(lo, hi, empty).tolist()
+            assert got == list(sympy.primerange(lo, hi + 1)), (lo, hi)
 
 
 def _spans_loop(first, count, step):
