@@ -343,6 +343,7 @@ def stats_of(n: int, table: PrimeTable | None = None) -> Stats:
 # -- degree and leaf enumeration ---------------------------------------------
 
 _vertex_level_cache: dict[int, list[int]] = {}
+_level_primes: dict[int, list[int]] = {}  # j -> the primes whose trees have j vertices
 
 
 def _integers_with_vertex_count(c: int, table: PrimeTable) -> list[int]:
@@ -356,12 +357,18 @@ def _integers_with_vertex_count(c: int, table: PrimeTable) -> list[int]:
 
 def _prime_pool(c: int, table: PrimeTable) -> list[tuple[int, int]]:
     """(p, j) for every prime p whose tree has j <= c vertices: p = p_k with
-    k's forest on j - 1 vertices.  The primes of all levels come from one
-    ``nth_primes`` call, ranks in level order."""
-    levels = [_integers_with_vertex_count(j - 1, table) for j in range(1, c + 1)]
-    ranks = [k for level in levels for k in level]
-    weights = [j for j, level in enumerate(levels, 1) for _ in level]
-    return list(zip(table.nth_primes(ranks).tolist(), weights))
+    k's forest on j - 1 vertices, level by level.  Each level's primes come
+    from one ``nth_primes`` call and are kept in ``_level_primes``, so a
+    rank is asked for once; a kept level counts only within the cap, where
+    asking again would not fail."""
+    pool = []
+    for j in range(1, c + 1):
+        primes = _level_primes.get(j)
+        if primes is None or primes[-1] > table.cap:  # ascending, as the ranks are
+            primes = table.nth_primes(_integers_with_vertex_count(j - 1, table)).tolist()
+            _level_primes[j] = primes
+        pool.extend((p, j) for p in primes)
+    return pool
 
 
 def _multiset_products(pool: list[tuple[int, int]], total: int) -> list[int]:

@@ -9,7 +9,7 @@ whatever stays unpaired bounds the summatory function in absolute value.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from itertools import chain
@@ -196,7 +196,11 @@ def partner_candidates(
 
 # -- partner edges in blocks ----------------------------------------------------
 
-_PAIR_BLOCK = 1 << 12  # integers per partner-search block; bounds its edge arrays
+# integers per partner-search block; bounds its edge arrays.  pair_range(99956)
+# traces 4.6 MB in liouville mode, 3.5 MB with blocks of 2**11 and 6.3 MB with
+# 2**13; blocks of 2**11 made pair_range(10**7) 4-20 % slower, as each block
+# pays for walking every base prime up to its sqrt once
+_PAIR_BLOCK = 1 << 12
 
 
 def _block_edges(
@@ -207,66 +211,100 @@ def _block_edges(
     primes: np.ndarray,
     cut_table: tuple[np.ndarray, np.ndarray, np.ndarray],
     table: PrimeTable,
-) -> tuple[np.ndarray, ...]:
-    """int32 columns k, l, x, y, z (int64 past 2**31) of every edge (k, l)
-    of ``_moves`` with lo <= k <= hi and both ends marked in ``live``, in the
-    order a greedy ``policy`` tries them.
+) -> tuple[np.ndarray, np.ndarray, Callable[[list[int]], np.ndarray]]:
+    """(k, l, moves): int32 columns k and l (int64 past 2**31) of every edge
+    (k, l) of ``_moves`` with lo <= k <= hi and both ends marked in ``live``,
+    in the order a greedy ``policy`` tries them, and ``moves``, which gives
+    the (len(rows), 3) columns x, y, z of the edges at some rows.
 
     The order is k descending, then the policy's key on l, then ``_moves``'
     generation order.  A cut of factor x into y * z has z >= 2; a fusion of
-    x and y has z = 0.  ``primes`` holds the primes up to n >= hi, so a
-    fusion rank past it gives a prime above n >= q_a * q_b: dropped unread.
-    Every column value is at most hi; the values that can pass it (s * r,
-    rank products, q_a * q_b and the sort key) are int64.
+    x and y has z = 0.  Only k and l go through the ``live`` filter and the
+    sort; x, y and z stay in generation order until ``moves`` reads them.
     """
-    offsets, detached, remaining = cut_table
     dtype = _value_dtype(hi)
     row, q, square = _distinct_factors(lo, hi, table)
     alive = live[row + lo] != 0
     k, q, square = (row[alive] + lo).astype(dtype), q[alive].astype(dtype), square[alive]
     rank = np.searchsorted(primes, q) + 1
-    # cuts: the factor q becomes s * r, ascending by q, then by (s, r)
+    cuts = _cut_edges(k, q, rank, cut_table)
+    fusions = _fusion_edges(k, q, square, rank, primes)
+    # each candidate's factor x = q[x_at], its y and z, and its l
+    x_at, y, z, edge_l = (np.concatenate(pair) for pair in zip(cuts, fusions))
+    del cuts, fusions
+    edge = np.flatnonzero(live[edge_l]).astype(dtype)  # the candidates kept
+    edge_l = edge_l[edge]
+    edge_k = k[x_at[edge]]
+    order = np.argsort(_policy_key(edge_k, edge_l, lo, hi, policy), kind="stable")
+    edge = edge[order]
+    edge_k = edge_k[order]
+    edge_l = edge_l[order]
+
+    def moves(rows: list[int]) -> np.ndarray:
+        at = edge[rows]
+        return np.stack([q[x_at[at]], y[at], z[at]], axis=1)
+
+    return edge_k, edge_l, moves
+
+
+def _cut_edges(
+    k: np.ndarray, q: np.ndarray, rank: np.ndarray, cut_table: tuple[np.ndarray, ...]
+) -> tuple[np.ndarray, ...]:
+    """(x_at, y, z, l) of every cut that makes k smaller: the factor q[x_at]
+    of k[x_at] becomes y * z, ascending by factor, then by (y, z).  A cut
+    (s, r) of q shrinks k exactly when r <= (q - 1) // s, so s * r, which
+    may pass every k, is formed only for the cuts kept."""
+    offsets, detached, remaining = cut_table
     owner, i = _spans(offsets[rank - 1], offsets[rank] - offsets[rank - 1])
-    s, r = detached[i].astype(dtype, copy=False), remaining[i].astype(dtype, copy=False)
-    sr = np.multiply(s, r, dtype=np.int64)
-    shrinks = sr < q[owner]  # exactly when l < k
-    c, s, r, sr = owner[shrinks], s[shrinks], r[shrinks], sr[shrinks]
-    # fusions: factors a <= b of one k (a == b on a square) merge into the
-    # prime of rank rank_a * rank_b; factor a meets itself on a square, then
-    # each later factor of its k, so (a, b) come ordered by a and then b
+    s = detached[i].astype(q.dtype, copy=False)
+    shrinks = remaining[i] <= (q[owner] - 1) // s
+    owner, i, s = owner[shrinks], i[shrinks], s[shrinks]
+    r = remaining[i].astype(q.dtype, copy=False)
+    return owner, s, r, k[owner] // q[owner] * s * r
+
+
+def _fusion_edges(
+    k: np.ndarray, q: np.ndarray, square: np.ndarray, rank: np.ndarray, primes: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """(x_at, y, z, l) of every root fusion that makes k smaller: factors
+    x = q[x_at] <= y of k[x_at] (equal on a square) merge into the prime of
+    rank rank_x * rank_y, and z = 0.  Factor x meets itself on a square, then
+    each later factor of its k, so the fusions come ordered by x, then y.
+    ``primes`` holds the primes up to n >= k, so a rank past it gives a
+    prime above n >= x * y: dropped unread.  x * y divides k, so it fits
+    k's dtype; the rank products are int64."""
     at = np.arange(len(k))
     a, b = _spans(at + 1 - square, np.searchsorted(k, k, side="right") - at - 1 + square)
-    inside = rank[a] * rank[b] <= len(primes)
-    a, b = a[inside], b[inside]
-    fused = primes[rank[a] * rank[b] - 1]
-    product = np.multiply(q[a], q[b], dtype=np.int64)
+    fused = rank[a] * rank[b]
+    inside = fused <= len(primes)
+    a, b, fused = a[inside], b[inside], primes[fused[inside] - 1]
+    product = q[a] * q[b]
     shrinks = fused < product
     a, b, fused, product = a[shrinks], b[shrinks], fused[shrinks], product[shrinks]
+    return a, q[b], np.zeros(len(a), dtype=k.dtype), k[a] // product * fused.astype(k.dtype)
 
-    edge_k = np.concatenate([k[c], k[a]])
-    edge_l = np.concatenate([k[c] // q[c] * sr, k[a] // product * fused]).astype(dtype)
-    columns = [edge_k, edge_l, q[np.concatenate([c, a])], np.concatenate([s, q[b]])]
-    columns.append(np.concatenate([r, np.zeros(len(a), dtype=dtype)]))
-    keep = live[edge_l] != 0
-    columns = [col[keep] for col in columns]
-    edge_k, edge_l = columns[:2]
-    # one int64 key, ties left in generation order: 0 <= l < k <= hi, so the
-    # k term (hi - k) * (hi + 1) outweighs any l term in 0..hi; it stays
-    # below _PAIR_BLOCK * (hi + 1), past int32 from hi = 2**19 on
-    key = hi - edge_k.astype(np.int64)
+
+def _policy_key(edge_k: np.ndarray, edge_l: np.ndarray, lo: int, hi: int, policy: str) -> np.ndarray:
+    """The sort key of a block's edges under ``policy``, ties left in
+    generation order: 0 <= l < k <= hi, so the k term (hi - k) * (hi + 1)
+    outweighs any l term in 0..hi.  The key stays below (hi - lo + 1) *
+    (hi + 1), and is int32 while that is below 2**31."""
+    key = (hi - edge_k).astype(np.int64 if (hi - lo + 1) * (hi + 1) >= 2**31 else np.int32)
     if policy != "first":
-        key = key * (hi + 1) + (edge_l if policy == "smallest" else hi - edge_l)
-    order = np.argsort(key, kind="stable")
-    return tuple(col[order] for col in columns)
+        key *= hi + 1
+        key += edge_l if policy == "smallest" else hi - edge_l
+    return key
 
 
 def _greedy_rows(edge_k: np.ndarray, edge_l: np.ndarray, free: bytearray) -> list[int]:
     """Rows of the edges a greedy takes, reading them in order: each k still
     marked in ``free`` takes the first edge of its run whose l is marked, and
     both ends are cleared.  Nothing is taken inside a run before its pick, so
-    this is the edge-by-edge greedy with each taken k read once."""
+    this is the edge-by-edge greedy with each taken k read once.  The l
+    column is read through a memoryview, one entry at a time as the search
+    reaches it, so no list of every l is made."""
     starts = np.flatnonzero(np.diff(edge_k, prepend=0)).tolist()  # edge_k >= 2
-    ls = edge_l.tolist()
+    ls = memoryview(edge_l)
     rows = []
     for k, a, b in zip(edge_k[starts].tolist(), starts, [*starts[1:], len(ls)]):
         if free[k]:
@@ -282,7 +320,7 @@ def _greedy_rows(edge_k: np.ndarray, edge_l: np.ndarray, free: bytearray) -> lis
 
 _LAZY = ("pairs", "singletons", "move_log")  # the fields a column report builds on demand
 # rows (or integers of the singleton mask) per piece of JSON text: writing the
-# report of pair_range(99956) peaks at 2.0 MB under tracemalloc, 7.0 MB with
+# report of pair_range(99956) peaks at 1.8 MB under tracemalloc, 5.9 MB with
 # 2**14 rows a piece
 _CHUNK = 1 << 12
 
@@ -520,10 +558,11 @@ def pair_range(
         cut_table = _cut_table(primes, table)
         while top >= 2:
             lo = max(top // _PAIR_BLOCK * _PAIR_BLOCK, 2)
-            edges = _block_edges(lo, top, policy, live, primes, cut_table, table)
-            taken = _greedy_rows(edges[0], edges[1], free)
-            for j, col in enumerate(edges):
-                rows[m : m + len(taken), j] = col[taken]
+            edge_k, edge_l, moves = _block_edges(lo, top, policy, live, primes, cut_table, table)
+            taken = _greedy_rows(edge_k, edge_l, free)
+            rows[m : m + len(taken), 0] = edge_k[taken]
+            rows[m : m + len(taken), 1] = edge_l[taken]
+            rows[m : m + len(taken), 2:] = moves(taken)
             m += len(taken)
             top = lo - 1
     except MatulaError:
@@ -576,11 +615,13 @@ def validation_errors(
         flat = rows[:, :2].reshape(-1)
         paired = len(flat)
     try:
-        values = np.array(flat, dtype=np.int64)
+        members = np.asarray(flat, dtype=np.int64)  # int64 rows are read in place
     except OverflowError:  # a member past int64 is outside 1..n
-        values = np.array([m if 0 < m <= n else 0 for m in flat], dtype=np.int64)
-    inside = (values >= 1) & (values <= n)
-    values[~inside] = 0  # 0 has no sign and is never seen
+        members = np.array([m if 0 < m <= n else 0 for m in flat], dtype=np.int64)
+    inside = (members >= 1) & (members <= n)
+    values = np.zeros(len(members), dtype=_value_dtype(n))  # 0 has no sign and is never seen
+    np.copyto(values, members, casting="unsafe", where=inside)
+    del members
     seen = np.zeros(n + 1, dtype=bool)
     seen[values] = True
     seen[0] = False
@@ -690,9 +731,12 @@ def validate_report(report: PairingReport, table: PrimeTable | None = None) -> b
 # -- fixtures ----------------------------------------------------------------------
 
 # characters of a pair list split and converted at a time, cut at a line end:
-# parsing a 50k-pair list peaks at 3.3 MB under tracemalloc, 6.4 MB while the
-# whole text's lines were held, so it stays below validate-pairs' later checks
-_PARSE_CHARS = 1 << 16
+# parsing a 50k-pair list peaks at 1.5 MB under tracemalloc, 3.3 MB with
+# 2**16 characters, and smaller slices leave less of the parse's freed heap
+# resident: validate-pairs of the pairing benchmark's list peaks about
+# 0.46 MB lower than with slices of 2**14 and 2.9 MB lower than with 2**16,
+# at the same speed
+_PARSE_CHARS = 1 << 12
 
 
 def _pair_rows(text: str) -> np.ndarray:
@@ -753,9 +797,12 @@ def report_from_pairs(
     table = table or default_table()
     signs = _signs(n, mode, table)
     members = rows.reshape(-1)
-    taken = np.zeros(n + 1, dtype=bool)  # members outside 1..n are the validator's
-    taken[members[(members >= 1) & (members <= n)].astype(np.int64)] = True
-    return PairingReport._from_columns(n, mode, policy, rows, (signs != 0) & ~taken, signs)
+    # the members inside 1..n, then flipped (members outside 1..n are the validator's)
+    unpaired = np.zeros(n + 1, dtype=bool)
+    unpaired[members[(members >= 1) & (members <= n)].astype(np.int64, copy=False)] = True
+    np.logical_not(unpaired, out=unpaired)
+    unpaired &= signs != 0
+    return PairingReport._from_columns(n, mode, policy, rows, unpaired, signs)
 
 
 def _member_rows(pairs) -> np.ndarray:

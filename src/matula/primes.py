@@ -493,11 +493,12 @@ class PrimeTable:
         Per block, yields (start, rest, powers): (p, e, hit) in ``powers``, e
         ascending per p, for each prime power p**e <= end (p <= sqrt(end)),
         where slice ``hit`` picks the block's multiples of p**e; p is divided
-        out of each.  That leaves in ``rest`` 1 or the one prime above sqrt(end).
+        out of each.  That leaves in ``rest`` 1 or the one prime above
+        sqrt(end); ``rest`` is int32 when end < 2**31, else int64.
         """
         while lo <= hi:
             end = min((lo // size + 1) * size - 1, hi)
-            rest = np.arange(lo, end + 1, dtype=np.int64)
+            rest = np.arange(lo, end + 1, dtype=_value_dtype(end))
             powers = []
             for p in self.primes_up_to(isqrt(end)).tolist():
                 power, e = p, 1
@@ -574,12 +575,18 @@ def _spans(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(owner, index): index runs over first[i], first[i] + step[i], ...,
     count[i] terms (step 1 if not given), for each i in turn, and owner
-    repeats that i alongside."""
-    owner = np.repeat(np.arange(len(count)), count)
-    index = np.arange(len(owner)) - (np.cumsum(count) - count)[owner]
+    repeats that i alongside.  Both are int32 when every index and the
+    total fit, else int64."""
+    before = np.cumsum(count) - count  # the terms of the runs before run i
+    total = int(count.sum())
+    last = first + (count - 1) * (1 if step is None else step)  # each run's last index
+    dtype = np.int32 if max(total, int(last.max(initial=0))) < 2**31 else np.int64
+    owner = np.repeat(np.arange(len(count), dtype=dtype), count)
+    index = np.arange(total, dtype=dtype)
+    index -= before.astype(dtype)[owner]
     if step is not None:
-        index *= step[owner]
-    index += first[owner]
+        index *= step.astype(dtype)[owner]
+    index += first.astype(dtype)[owner]
     return owner, index
 
 

@@ -14,6 +14,7 @@ import functools
 import json
 import time
 from dataclasses import dataclass, field
+from math import log
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -277,12 +278,23 @@ def scan_nap_law(p_max: int, table: PrimeTable | None = None) -> ScanReport:
     from .algebra import nap_law_holds
 
     table = table or default_table()
-    ps = [int(p) for p in table.primes_up_to(p_max)]
+    # The last triple (P, P, P), P the largest prime <= p_max, reads the
+    # prime of rank P * P * pi(P), the largest rank of the scan.  A lower
+    # bound of that rank past the table's rank ceiling refuses before any
+    # prime is listed: Nagura (1952) puts a prime in (5x/6, x] from x = 30,
+    # and Rosser & Schoenfeld (1962) give pi(x) > x / ln x from x = 17.
+    if 30 <= p_max <= table.cap:
+        low = 5 * p_max // 6 + 1
+        rank = low * low * int(p_max / log(p_max) * (1 - GUARD_BAND))
+        if rank >= table._rank_ceiling:
+            raise table._rank_error(rank)
+    ps = table.primes_up_to(p_max)
+    table.nth_prime(int(ps[-1]) ** 2 * len(ps))  # the last triple's rank: refused here or nowhere
     exceptions = [
         (a, b, c)
-        for a in ps
-        for b in ps
-        for c in ps
+        for a in map(int, ps)
+        for b in map(int, ps)
+        for c in map(int, ps)
         if not nap_law_holds(a, b, c, table)
     ]
     return ScanReport(

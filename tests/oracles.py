@@ -23,6 +23,7 @@ BIJECTION_MEMOS = (
     "_number_of_tree",
     "_vaf_of_prime",
     "_vertex_level_cache",
+    "_level_primes",
     "_key_of_prime",
 )
 

@@ -189,17 +189,27 @@ def test_pair_json_bytes_at_a_million_are_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
-def test_block_edges_of_the_block_holding_a_million_are_pinned():
-    # recorded as int64 columns before the columns became int32; there the
-    # sort key (hi - k) * (hi + 1) + hi - l passes 2**31, so a key computed
-    # in int32 would wrap and reorder the edges
-    table = PrimeTable()
-    lo = 10**6 // _B * _B
-    hi = lo + _B - 1
+def _block_columns(lo, hi, policy, live, table):
+    """The five columns k, l, x, y, z of ``_block_edges``' edges of lo..hi."""
     primes = table.primes_up_to(hi)
+    edge_k, edge_l, moves = pairing._block_edges(
+        lo, hi, policy, live, primes, pairing._cut_table(primes, table), table
+    )
+    xyz = moves(np.arange(len(edge_k)))
+    return edge_k, edge_l, *xyz.T
+
+
+def test_block_edges_of_the_block_holding_a_million_are_pinned():
+    # recorded as int64 columns before the columns became int32, for the
+    # block of 4096 integers holding a million; there the sort key
+    # (hi - k) * (hi + 1) + hi - l passes 2**31, so a key computed in int32
+    # would wrap and reorder the edges
+    table = PrimeTable()
+    lo = 10**6 // 4096 * 4096
+    hi = lo + 4095
     live = np.ones(hi + 1, dtype=bool)
     live[0] = False
-    edges = pairing._block_edges(lo, hi, "largest", live, primes, pairing._cut_table(primes, table), table)
+    edges = _block_columns(lo, hi, "largest", live, table)
     assert [col.dtype for col in edges] == [np.int32] * 5
     columns = np.stack(edges).astype("<i8")
     assert columns.shape == (5, 50213)
@@ -221,9 +231,8 @@ def test_block_edges_list_the_moves_of_each_k_in_generation_order(center):
     table = PrimeTable()
     lo = center // _B * _B
     hi = lo + _B - 1
-    primes = table.primes_up_to(hi)
     live = np.ones(hi + 1, dtype=bool)
-    edges = pairing._block_edges(lo, hi, "first", live, primes, pairing._cut_table(primes, table), table)
+    edges = _block_columns(lo, hi, "first", live, table)
     expected = [
         (k, *move) for k in range(hi, lo - 1, -1) for move in pairing._moves(k, table.factorize(k), table)
     ]

@@ -314,18 +314,53 @@ def test_the_pair_parser_on_empty_text_and_a_late_fault(monkeypatch):
         load_pairs(text)
 
 
-def test_the_pair_parser_of_50k_pairs_peaks_below_5_mb():
-    # the parse holds one slice of lines at a time: 6.3 MB while it held
-    # the whole text's splitlines() list
-    text = "".join(f"{k} {k - 1}\n" for k in range(100_000, 0, -2))
+def _traced_peak(call):
+    """call()'s result and the peak of the memory it traced, in bytes."""
     tracemalloc.start()
     try:
-        rows = pairing._pair_rows(text)
-        peak = tracemalloc.get_traced_memory()[1]
+        return call(), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_the_pair_parser_of_50k_pairs_peaks_below_2_mb():
+    # the parse holds one slice of 2**12 characters' lines at a time: 1.5 MB,
+    # 3.3 MB with slices of 2**16, and 6.3 MB while it held the whole text's
+    # splitlines() list
+    text = "".join(f"{k} {k - 1}\n" for k in range(100_000, 0, -2))
+    rows, peak = _traced_peak(lambda: pairing._pair_rows(text))
     assert rows.shape == (50_000, 2) and rows[-1].tolist() == [2, 1]
-    assert peak < 5 * 2**20
+    assert peak < 2 * 2**20
+
+
+# pair_range(99956) in each mode, as the pairing benchmark runs it: 4.6 and
+# 3.3 MB while only k and l go through each block's filter and sort and x, y,
+# z are read for the taken rows, against 6.5 and 4.9 MB while all five
+# columns did, the cut table's blocks worked in int64 and the greedy listed
+# every l of a block
+@pytest.mark.parametrize("mode, limit", [("liouville", 5.5), ("mobius", 4.0)])
+def test_pair_range_at_the_benchmark_size_traces_a_block_sized_peak(mode, limit):
+    table = PrimeTable()
+    table.primes_up_to(99_956)
+    report, peak = _traced_peak(lambda: pair_range(99_956, mode, "largest", table))
+    assert report.counts()[0] > 20_000
+    assert peak < limit * 2**20, peak
+
+
+def test_validating_a_pair_list_of_the_benchmark_size_traces_below_3_6_mb():
+    # parse, report and check the pairs of pair_range(99956): 3.2 MB with
+    # int32 member values and parse slices of 2**12 characters, 4.0 MB with
+    # int64 copies of the members and slices of 2**16
+    text = "".join(f"{k} {l}\n" for k, l in pair_range(99_956).pairs)
+    table = PrimeTable()
+
+    def validate():
+        report = report_from_pairs(99_956, "liouville", pairing._pair_rows(text), table=table)
+        return report.counts(), validation_errors(report, table)
+
+    ((pairs, _), errors), peak = _traced_peak(validate)
+    assert pairs > 20_000 and errors == []
+    assert peak < 3.6 * 2**20, peak
 
 
 @pytest.mark.parametrize("mode", MODES)

@@ -778,6 +778,25 @@ def test_spans_is_the_loop_over_runs(runs, stepped):
     owner, index = _spans(first, count, step if stepped else None)
     expected = _spans_loop(first.tolist(), count.tolist(), step.tolist())
     assert (owner.tolist(), index.tolist()) == expected
+    assert owner.dtype == index.dtype == np.int32
+
+
+@pytest.mark.parametrize(
+    "first, count, step, dtype",
+    [
+        ([2**31 - 3], [3], None, np.int32),  # the last index is 2**31 - 1
+        ([2**31 - 3], [4], None, np.int64),
+        ([0], [3], [2**30 - 1], np.int32),
+        ([0], [3], [2**30], np.int64),
+    ],
+)
+def test_spans_widen_to_int64_when_an_index_passes_int32(first, count, step, dtype):
+    first, count = np.array(first, dtype=np.int64), np.array(count, dtype=np.int64)
+    step = None if step is None else np.array(step, dtype=np.int64)
+    owner, index = _spans(first, count, step)
+    assert owner.dtype == index.dtype == dtype
+    expected = _spans_loop(first.tolist(), count.tolist(), [1] * len(first) if step is None else step.tolist())
+    assert (owner.tolist(), index.tolist()) == expected
 
 
 def _check_block_helpers(table, lo, hi, sympy):

@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from matula import PrimeTable, scans
+from matula import CapExceeded, PrimeTable, scans
 from matula.primes import _nth_prime_bound
 from matula import (
     check_tuple_width_bound,
@@ -367,3 +367,42 @@ def test_size_bounds_recheck_many_near_cases_to_the_same_exceptions(monkeypatch,
     monkeypatch.setattr(scans, "_TABLE_BLOCK", 1000)
     monkeypatch.setattr(scans, "GUARD_BAND", 1e-2)
     assert scan_prime_size_bounds(20_000, table).exceptions == expected
+
+
+def _no_triple(*args):
+    raise AssertionError(f"a triple was checked: {args}")
+
+
+@pytest.mark.parametrize("p_max", [1000, 2**31 - 1, 2**62])
+def test_nap_scan_past_the_cap_refuses_before_listing_a_prime(monkeypatch, p_max):
+    # a lower bound of the last triple's rank P * P * pi(P) is past the rank
+    # ceiling: no prime is sieved and no triple checked (under the default
+    # cap, p_max = 2**31 - 1 listed 105M primes as Python ints first)
+    from matula import algebra
+
+    monkeypatch.setattr(algebra, "nap_law_holds", _no_triple)
+    table = PrimeTable(cap=max(10**6, p_max))
+    with pytest.raises(CapExceeded):
+        scans.scan_nap_law(p_max, table)
+    assert table.count == 0
+
+
+def test_nap_scan_refuses_at_the_last_triples_rank_before_any_triple(monkeypatch):
+    # below p_max = 30 no bound is taken: the primes up to 20 are listed, and
+    # the rank of the last triple (19, 19, 19), 19 * 19 * 8, is asked first
+    from matula import algebra
+
+    monkeypatch.setattr(algebra, "nap_law_holds", _no_triple)
+    with pytest.raises(CapExceeded) as refused:
+        scans.scan_nap_law(20, PrimeTable(cap=1000))
+    assert refused.value.needed == _nth_prime_bound(19 * 19 * 8)
+
+
+def test_nap_scan_within_the_cap_checks_every_triple(monkeypatch):
+    from matula import algebra
+
+    seen = []
+    monkeypatch.setattr(algebra, "nap_law_holds", lambda *triple: seen.append(triple[:3]) or True)
+    report = scans.scan_nap_law(20, PrimeTable(cap=10**6))
+    primes = [2, 3, 5, 7, 11, 13, 17, 19]
+    assert report.exceptions == [] and seen == [(a, b, c) for a in primes for b in primes for c in primes]
