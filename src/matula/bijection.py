@@ -14,14 +14,14 @@ its range can contain.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from math import log
+from math import log, prod
 
 import numpy as np
 
 from .errors import CapExceeded, MatulaError
-from .forests import Forest, Tree, attach_root, detach_root
+from .forests import Forest, Tree, attach_root
 from .primes import (
     _AUTO_FACTOR_SIEVE,
     PrimeTable,
@@ -70,10 +70,7 @@ def number_of(obj: Forest | Tree, table: PrimeTable | None = None) -> int:
     table = table or default_table()
     if isinstance(obj, Tree):
         return _tree_number(obj, table)
-    n = 1
-    for t in obj.trees:
-        n *= _tree_number(t, table)
-    return n
+    return prod(_tree_number(t, table) for t in obj.trees)
 
 
 # The number of the path on h vertices for h = 0..13 (OEIS A007097): p
@@ -111,7 +108,7 @@ def _tree_number(t: Tree, table: PrimeTable) -> int:
     p = _number_of_tree.get(t)
     if p is None or p > table.cap:
         check_height(t.height, table.cap)
-        p = table.nth_prime(number_of(detach_root(t), table))
+        p = table.nth_prime(prod(_tree_number(child, table) for child in t.children))
         _number_of_tree[t] = p
         _tree_of_prime[p] = t
     return p
@@ -342,54 +339,48 @@ def stats_of(n: int, table: PrimeTable | None = None) -> Stats:
 
 # -- degree and leaf enumeration ---------------------------------------------
 
-_vertex_level_cache: dict[int, list[int]] = {}
+_vertex_level_cache: dict[int, list[int]] = {}  # c -> the n whose forests have c vertices
 _level_primes: dict[int, list[int]] = {}  # j -> the primes whose trees have j vertices
 
 
+def _extend(levels: list[list[int]], p: int, weight: int, targets: Iterable[int]) -> None:
+    """Add p of this weight to a product table: levels[w] gains p times each
+    product of weight w - weight, for ascending targets w, so p may repeat
+    and each multiset is formed once (distinct by unique factorization)."""
+    for w in targets:
+        levels[w] += [x * p for x in levels[w - weight]]
+
+
+def _primes_with_vertex_count(j: int, table: PrimeTable) -> list[int]:
+    """The primes whose trees have j vertices, ascending: p of the cached
+    vertex level j - 1, from one ``nth_primes`` call kept in
+    ``_level_primes``; a kept level counts only within the cap, where
+    asking again would not fail."""
+    primes = _level_primes.get(j)
+    if primes is None or primes[-1] > table.cap:  # ascending, as the ranks are
+        primes = table.nth_primes(_vertex_level_cache[j - 1]).tolist()
+        _level_primes[j] = primes
+    return primes
+
+
 def _integers_with_vertex_count(c: int, table: PrimeTable) -> list[int]:
-    """All n whose forest has exactly c vertices, ascending (finite)."""
+    """All n whose forest has exactly c vertices, ascending (finite), each
+    lower level cached on the way.  One forward product table, a prime on j
+    vertices weighing j, takes the primes level by level: level j - 1 is
+    complete once those on fewer than j vertices are in.  The table stops at
+    the tallest height within the cap: the next level holds a path whose
+    prime passes it, so asking for that level's primes raises first."""
     got = _vertex_level_cache.get(c)
     if got is None:
-        got = sorted(_multiset_products(_prime_pool(c, table), c))  # [1] at c = 0
-        _vertex_level_cache[c] = got
+        # levels 0..top: up to c, or up to the tallest height within the cap
+        top = next((h for h in range(c) if _least_number(h + 1, table.cap) > table.cap), c)
+        levels = [[1]] + [[] for _ in range(top)]
+        for j in range(1, c + 1):
+            _vertex_level_cache[j - 1] = sorted(levels[j - 1])
+            for p in _primes_with_vertex_count(j, table):
+                _extend(levels, p, j, range(j, top + 1))
+        got = _vertex_level_cache[c] = sorted(levels[c])
     return got
-
-
-def _prime_pool(c: int, table: PrimeTable) -> list[tuple[int, int]]:
-    """(p, j) for every prime p whose tree has j <= c vertices: p = p_k with
-    k's forest on j - 1 vertices, level by level.  Each level's primes come
-    from one ``nth_primes`` call and are kept in ``_level_primes``, so a
-    rank is asked for once; a kept level counts only within the cap, where
-    asking again would not fail."""
-    pool = []
-    for j in range(1, c + 1):
-        primes = _level_primes.get(j)
-        if primes is None or primes[-1] > table.cap:  # ascending, as the ranks are
-            primes = table.nth_primes(_integers_with_vertex_count(j - 1, table)).tolist()
-            _level_primes[j] = primes
-        pool.extend((p, j) for p in primes)
-    return pool
-
-
-def _multiset_products(pool: list[tuple[int, int]], total: int) -> list[int]:
-    """Products over multisets drawn from (value, weight) with weights summing
-    to total.  Distinct multisets give distinct products (unique factorization),
-    so no de-duplication is needed."""
-    out: list[int] = []
-    pool = sorted(pool, key=lambda entry: entry[1])  # lightest first
-
-    def rec(i: int, remaining: int, acc: int) -> None:
-        if remaining == 0:
-            out.append(acc)
-            return
-        for j in range(i, len(pool)):
-            val, w = pool[j]
-            if w > remaining:
-                break
-            rec(j, remaining - w, acc * val)
-
-    rec(0, total, 1)
-    return out
 
 
 def integers_of_degree(m: int, table: PrimeTable | None = None) -> list[int]:
@@ -398,9 +389,17 @@ def integers_of_degree(m: int, table: PrimeTable | None = None) -> list[int]:
     if m < 0:
         raise ValueError(f"degree must be >= 0, got {m}")
     table = table or default_table()
-    # a prime whose tree has j vertices has j - 1 edges, so degree 2j - 1
-    pool = [(p, 2 * j - 1) for p, j in _prime_pool((m + 1) // 2, table)]
-    return sorted(_multiset_products(pool, m))
+    c = (m + 1) // 2  # a prime whose tree has j vertices has j - 1 edges: degree 2j - 1
+    _integers_with_vertex_count(max(c - 1, 0), table)
+    # every level's primes before the table, so a level past the cap raises first
+    by_level = [_primes_with_vertex_count(j, table) for j in range(1, c + 1)]
+    levels = [[1]] + [[] for _ in range(m)]
+    for j, primes in enumerate(by_level, 1):
+        # no prime still to come weighs less, so past m - (2j - 1) only m reads it
+        targets = [*range(2 * j - 1, m - 2 * j + 2), m]
+        for p in primes:
+            _extend(levels, p, 2 * j - 1, targets)
+    return sorted(levels[m])
 
 
 def integers_with_leaf_count(

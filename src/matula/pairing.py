@@ -97,11 +97,12 @@ def _signs(n: int, mode: str, table: PrimeTable) -> np.ndarray:
     """Sign of every k in 0..n, indexed by k (0 at k = 0), read-only.
 
     One int8 array is allocated up front and filled block by block; an
-    allocation the machine refuses raises ``SieveTooLarge``.
+    allocation the machine refuses, or a length past numpy's index range
+    (n >= 2**63 - 1), raises ``SieveTooLarge``.
     """
     try:
         signs = np.zeros(n + 1, dtype=np.int8)
-    except MemoryError:
+    except (MemoryError, ValueError):  # ValueError: "Maximum allowed dimension exceeded"
         raise SieveTooLarge(n, n + 1) from None
     lo = 1
     for block in _sign_blocks(1, n, mode, table):

@@ -197,6 +197,33 @@ def test_vertex_levels_count_rooted_trees():
         assert len(_integers_with_vertex_count(c, table)) == counts[c + 1], c
 
 
+def _euler_transform(b: list[int], n_max: int) -> list[int]:
+    """Multisets of total weight n for n <= n_max, drawn from b[d] kinds of
+    weight d: c(n) = (1/n) sum_k (sum_{d | k} d b(d)) c(n - k), c(0) = 1."""
+    c = [1]
+    for n in range(1, n_max + 1):
+        total = sum(
+            sum(d * b[d] for d in range(1, k + 1) if k % d == 0) * c[n - k]
+            for k in range(1, n + 1)
+        )
+        c.append(total // n)
+    return c
+
+
+def test_no_degree_level_misses_a_member(table):
+    # a prime whose tree has j vertices has degree 2j - 1, and there are as
+    # many such primes as rooted trees on j vertices; degree m counts the
+    # multisets of them of total degree m
+    trees = _rooted_tree_counts(10)
+    kinds = [0] * 21
+    for j in range(1, 11):
+        kinds[2 * j - 1] = trees[j]
+    counts = _euler_transform(kinds, 20)
+    assert counts[:6] == [1, 1, 1, 2, 2, 4]  # the levels test_degree_levels lists
+    for m in range(21):
+        assert len(integers_of_degree(m, table)) == counts[m], m
+
+
 def test_degree_levels_ascend_and_have_their_degree(table):
     for m in range(14):
         level = integers_of_degree(m, table)

@@ -908,7 +908,7 @@ def test_new_scan_kinds(capsys):
 # entry, except those in NO_CLI_ROUTE.
 REACHES = {
     "arborify": ["arborify", "attach_root", "print_forest", "render"],
-    "number-of": ["detach_root", "number_of", "parse_forest"],
+    "number-of": ["number_of", "parse_forest"],
     "stats": ["arborify", "attach_root", "stats", "stats_of"],
     "degree-list": ["integers_of_degree"],
     "leaf-class": ["integers_with_leaf_count"],
@@ -965,6 +965,8 @@ RUNS = {
 
 NO_CLI_ROUTE = {
     "default_table",  # wiring: the CLI builds its own table
+    # a tree's branches as a forest: number_of multiplies the branches' numbers
+    "detach_root",
     "validate_report",  # a boolean view of validation_errors, which validate-pairs prints
     # the list form of the parser validate-pairs runs (pairing._pair_rows, an array)
     "load_pairs",

@@ -118,3 +118,12 @@ def test_a_sign_sieve_past_the_address_space_exits_4(command, value):
     )
     expected = f"error: sieving primes up to {value} needs {value + 1} bytes, more than this machine could allocate\n"
     assert (done.returncode, done.stdout, done.stderr) == (4, "", expected)
+
+
+@pytest.mark.parametrize("value", [2**63, 2**64 + 1, 10**30])
+@pytest.mark.parametrize("command", [["pair", "X"], ["validate-pairs", FIXTURE, "--max", "X"]])
+def test_a_sign_sieve_past_the_index_range_exits_4(command, value):
+    # n + 1 signs pass numpy's index range, which it refuses with a ValueError
+    # before any allocation; that is a sieve too large, as at 2**62
+    expected = f"error: sieving primes up to {value} needs {value + 1} bytes, more than this machine could allocate\n"
+    assert _exit_code([*CAP, *_filled(command, value)]) == (4, expected)
