@@ -68,6 +68,10 @@ GATES = [
     Gate(["pair", "99956", "--mode", "liouville", "--format", "json"], above_floor=7),
     Gate(["pair", "99956", "--mode", "mobius", "--format", "json"], above_floor=7),
     Gate(["validate-pairs", PAIRS, "--max", "99956", "--mode", "liouville"], above_floor=7),
+    # about 55 MB and the uncapped bytes; 145 MB while a cap below n sent
+    # every k through a per-k partner search
+    Gate(["--cap", "1000000", "pair", "1000002", "--format", "json"], limit=80,
+         sha256="9f2980c8bb69a9fd5595eea6ddfa6c48b0b19e4cf41b4f3482b50cde0996973e"),
     # about 80 MB: the cut table behind value_increasing_cuts at scale
     Gate(["scan", "cut-decrease", "--max", "1000000"], limit=120,
          sha256="13089b5c0a4972c7a5d6bd998a3d11a24e5796373b0f47543acbc5b5dacc4693"),

@@ -14,14 +14,14 @@ from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from itertools import chain
 from math import isqrt
-from operator import index, itemgetter
+from operator import index
 from typing import TextIO
 
 import numpy as np
 
 from .algebra import CutPair, _cut_table, _ordered_cuts, cuts, fuse
 from .constants import LIOUVILLE, MOBIUS, MODES, POLICIES
-from .errors import CapExceeded, MatulaError, SieveTooLarge
+from .errors import CapExceeded, SieveTooLarge
 from .primes import PrimeTable, _distinct_factors, _spans, _value_dtype, default_table
 
 
@@ -100,9 +100,11 @@ def _signs(n: int, mode: str, table: PrimeTable) -> np.ndarray:
     allocation the machine refuses, or a length past numpy's index range
     (n >= 2**63 - 1), raises ``SieveTooLarge``.
     """
+    if n >= np.iinfo(np.intp).max:  # numpy would raise "Maximum allowed dimension exceeded"
+        raise SieveTooLarge(n, n + 1)
     try:
         signs = np.zeros(n + 1, dtype=np.int8)
-    except (MemoryError, ValueError):  # ValueError: "Maximum allowed dimension exceeded"
+    except MemoryError:
         raise SieveTooLarge(n, n + 1) from None
     lo = 1
     for block in _sign_blocks(1, n, mode, table):
@@ -153,11 +155,6 @@ def _move_dict(x: int, y: int, z: int) -> dict:
     if z:
         return {"kind": "cut", "factor": x, "detached": y, "remaining": z}
     return {"kind": "fusion", "left": x, "right": y}
-
-
-def _free_moves(k: int, free: bytearray, table: PrimeTable) -> list[tuple]:
-    """``_moves`` of k whose target l is marked in ``free``."""
-    return [move for move in _moves(k, table.factorize(k), table) if free[move[0]]]
 
 
 def partner_moves(
@@ -212,11 +209,13 @@ def _block_edges(
     primes: np.ndarray,
     cut_table: tuple[np.ndarray, np.ndarray, np.ndarray],
     table: PrimeTable,
-) -> tuple[np.ndarray, np.ndarray, Callable[[list[int]], np.ndarray]]:
-    """(k, l, moves): int32 columns k and l (int64 past 2**31) of every edge
-    (k, l) of ``_moves`` with lo <= k <= hi and both ends marked in ``live``,
-    in the order a greedy ``policy`` tries them, and ``moves``, which gives
-    the (len(rows), 3) columns x, y, z of the edges at some rows.
+) -> tuple[np.ndarray, np.ndarray, Callable[[list[int]], np.ndarray], np.ndarray]:
+    """(k, l, moves, flagged): int32 columns k and l (int64 past 2**31) of
+    every edge (k, l) of ``_moves`` with lo <= k <= hi and both ends marked
+    in ``live``, in the order a greedy ``policy`` tries them; ``moves``,
+    which gives the (len(rows), 3) columns x, y, z of the edges at some
+    rows; and ``flagged``, the live k (ascending, with no edges) whose
+    ``_moves`` raise, as ``primes`` holds the primes up to min(n, cap).
 
     The order is k descending, then the policy's key on l, then ``_moves``'
     generation order.  A cut of factor x into y * z has z >= 2; a fusion of
@@ -228,6 +227,13 @@ def _block_edges(
     alive = live[row + lo] != 0
     k, q, square = (row[alive] + lo).astype(dtype), q[alive].astype(dtype), square[alive]
     rank = np.searchsorted(primes, q) + 1
+    flagged = np.empty(0, dtype=dtype)
+    if hi > table.cap:  # a factor past the primes, or a fusion past them with q * r past the cap
+        a, b = _fusion_pairs(k, square)
+        stuck = (rank[a] * rank[b] > len(primes)) & (q[a] * q[b] > table.cap)
+        flagged = np.unique(np.concatenate([k[rank > len(primes)], k[a[stuck]]]))
+        keep = ~np.isin(k, flagged)
+        k, q, square, rank = k[keep], q[keep], square[keep], rank[keep]
     cuts = _cut_edges(k, q, rank, cut_table)
     fusions = _fusion_edges(k, q, square, rank, primes)
     # each candidate's factor x = q[x_at], its y and z, and its l
@@ -245,7 +251,13 @@ def _block_edges(
         at = edge[rows]
         return np.stack([q[x_at[at]], y[at], z[at]], axis=1)
 
-    return edge_k, edge_l, moves
+    return edge_k, edge_l, moves, flagged
+
+
+def _fusion_pairs(k: np.ndarray, square: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(a, b): the rows of the two factors of every root fusion of sorted k."""
+    at = np.arange(len(k))
+    return _spans(at + 1 - square, np.searchsorted(k, k, side="right") - at - 1 + square)
 
 
 def _cut_edges(
@@ -271,11 +283,11 @@ def _fusion_edges(
     x = q[x_at] <= y of k[x_at] (equal on a square) merge into the prime of
     rank rank_x * rank_y, and z = 0.  Factor x meets itself on a square, then
     each later factor of its k, so the fusions come ordered by x, then y.
-    ``primes`` holds the primes up to n >= k, so a rank past it gives a
-    prime above n >= x * y: dropped unread.  x * y divides k, so it fits
-    k's dtype; the rank products are int64."""
-    at = np.arange(len(k))
-    a, b = _spans(at + 1 - square, np.searchsorted(k, k, side="right") - at - 1 + square)
+    ``primes`` holds the primes up to min(n, cap) >= x * y (no k here needs
+    a fusion past the cap), so a rank past it gives a prime above x * y:
+    dropped unread.  x * y divides k, so it fits k's dtype; the rank
+    products are int64."""
+    a, b = _fusion_pairs(k, square)
     fused = rank[a] * rank[b]
     inside = fused <= len(primes)
     a, b, fused = a[inside], b[inside], primes[fused[inside] - 1]
@@ -532,15 +544,14 @@ def pair_range(
     order with ties in generation order, but filtered by the sign sieve of
     1..n instead of one factorization each.  They come as arrays, one block
     of k at a time (``_block_edges``, from ``PrimeTable.factor_blocks`` and
-    one table of the cuts of every prime <= n); each k still free reads its
-    run of edges up to the first free partner (``_greedy_rows``), and the
-    chosen rows k, l, x, y, z go into one array in the order taken, int32
-    when n < 2**31 (every value is at most n) and else int64.
-    When the primes up to n pass the cap (or a block raises a
-    ``MatulaError``), the per-k search pairs from there down; it raises only
-    where a prime the answer needs passes the cap.  A number whose
-    candidates are all taken becomes a singleton; no backtracking is
-    attempted.  Deterministic for fixed (n, mode, policy).
+    one table of the cuts of every prime up to min(n, cap)); each k still
+    free reads its run of edges up to the first free partner
+    (``_greedy_rows``), and the chosen rows k, l, x, y, z go into one array
+    in the order taken, int32 when n < 2**31 (every value is at most n) and
+    else int64.  A k whose moves need a prime past the cap has no edges; if
+    it is free at its turn, its ``_moves`` raise.  A number whose candidates
+    are all taken becomes a singleton; no backtracking is attempted.
+    Deterministic for fixed (n, mode, policy).
     """
     _check_mode(mode)
     if policy not in POLICIES:
@@ -553,36 +564,22 @@ def pair_range(
     live = np.frombuffer(free, dtype=np.bool_)  # a view: sees every take
     rows = np.empty((np.count_nonzero(live) // 2, 5), dtype=_value_dtype(n))  # a pair takes two
     m = 0  # rows taken
+    primes = table.primes_up_to(min(n, table.cap))
+    cut_table = _cut_table(primes, table)
     top = n  # every k above top is settled
-    try:
-        primes = table.primes_up_to(n)
-        cut_table = _cut_table(primes, table)
-        while top >= 2:
-            lo = max(top // _PAIR_BLOCK * _PAIR_BLOCK, 2)
-            edge_k, edge_l, moves = _block_edges(lo, top, policy, live, primes, cut_table, table)
-            taken = _greedy_rows(edge_k, edge_l, free)
-            rows[m : m + len(taken), 0] = edge_k[taken]
-            rows[m : m + len(taken), 1] = edge_l[taken]
-            rows[m : m + len(taken), 2:] = moves(taken)
-            m += len(taken)
-            top = lo - 1
-    except MatulaError:
-        pass
-    for k in range(top, 1, -1):
-        if not free[k]:
-            continue
-        moves = _free_moves(k, free, table)
-        if not moves:
-            continue
-        if policy == "largest":
-            move = max(moves, key=itemgetter(0))
-        elif policy == "smallest":
-            move = min(moves, key=itemgetter(0))
-        else:  # first in generation order
-            move = moves[0]
-        free[k] = free[move[0]] = 0
-        rows[m] = k, *move
-        m += 1
+    while top >= 2:
+        lo = max(top // _PAIR_BLOCK * _PAIR_BLOCK, 2)
+        edge_k, edge_l, moves, flagged = _block_edges(lo, top, policy, live, primes, cut_table, table)
+        taken = _greedy_rows(edge_k, edge_l, free)
+        for k in flagged[live[flagged]][::-1].tolist():  # free at their turn: raise at the largest
+            list(_moves(k, table.factorize(k), table))  # raises CapExceeded
+            raise AssertionError(f"{k} was flagged, but none of its moves passes the cap")
+        rows[m : m + len(taken), 0] = edge_k[taken]
+        rows[m : m + len(taken), 1] = edge_l[taken]
+        rows[m : m + len(taken), 2:] = moves(taken)
+        m += len(taken)
+        top = lo - 1
+        del edge_k, edge_l, moves  # before the next block's edges are built
     return PairingReport._from_columns(n, mode, policy, rows[:m], live, signs)
 
 
@@ -604,6 +601,8 @@ def validation_errors(
     if report.mode not in MODES:
         return [f"unknown mode {report.mode!r}"]
     n, mode = report.n, report.mode
+    if n < 1:
+        return [f"N must be at least 1, got {n}"]
     signs = _signs(n, mode, table)
     columns = report._column_view()
     if columns is None:

@@ -13,6 +13,7 @@ from math import isqrt
 import numpy as np
 
 from matula import Forest, Tree, algebra, arborify, bijection, is_squarefree, number_of, print_forest
+from matula import partner_moves, summatory
 from matula.pairing import MODES, PairingReport, _replay_move, _signs, default_table, sign_of
 
 # The module-global memo tables of ``matula.bijection``.  A cached value
@@ -187,6 +188,8 @@ def validation_errors_reference(report: PairingReport, table=None) -> list[str]:
     if report.mode not in MODES:
         return [f"unknown mode {report.mode!r}"]
     n, mode = report.n, report.mode
+    if n < 1:
+        return [f"N must be at least 1, got {n}"]
 
     signs = _signs(n, mode, table)
     seen: set[int] = set()
@@ -234,6 +237,36 @@ def validation_errors_reference(report: PairingReport, table=None) -> list[str]:
         if _replay_move(k, mv, table) != l:
             errs.append(f"move log for {k} does not reach {l}: {mv}")
     return errs
+
+
+def pair_range_reference(n: int, mode: str, policy: str, table) -> PairingReport:
+    """``pairing.pair_range`` as a greedy from n down to 2 over the public
+    ``partner_moves``, with signs by trial division: each k still free takes
+    the largest, the smallest or the first free partner l by ``policy`` (ties
+    in generation order), and a free k raises what ``partner_moves`` raises.
+    The sign sieve of 1..n comes first and refuses where ``summatory`` does."""
+    if isqrt(n) > table.cap:
+        summatory(n, mode, table)  # raises CapExceeded before sieving
+    sign = mobius_brute if mode == "mobius" else liouville_brute
+    signs = [0] + [sign(k) for k in range(1, n + 1)]
+    free = [s != 0 for s in signs]
+    pairs, move_log = [], {}
+    for k in range(n, 1, -1):
+        if not free[k]:
+            continue
+        moves = [(l, mv) for l, mv in partner_moves(k, mode, table) if free[l]]
+        if not moves:
+            continue
+        if policy == "first":
+            l, mv = moves[0]
+        else:
+            l, mv = (max if policy == "largest" else min)(moves, key=lambda move: move[0])
+        free[k] = free[l] = False
+        pairs.append((k, l))
+        move_log[k] = mv
+    singletons = [k for k in range(1, n + 1) if free[k]]
+    bound = abs(sum(signs[k] for k in singletons))
+    return PairingReport(n, mode, policy, pairs, singletons, bound, sum(signs), move_log)
 
 
 def report_json_reference(report: PairingReport, with_moves: bool = True) -> str:

@@ -516,9 +516,9 @@ def test_cap_errors_are_pinned(capsys, argv):
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def test_pair_under_a_cap_just_below_n_runs_the_per_k_search(capsys):
-    # the block search needs every prime up to n and fails under --cap 1000;
-    # the per-k search needs only the primes its moves reach, up to n = 1008
+def test_pair_under_a_cap_just_below_n_pairs_until_a_move_passes_it(capsys):
+    # under --cap 1000 the block search reads the primes up to the cap; no
+    # move of a k up to 1008 needs a prime past it, and 1009 is one
     for mode in ("liouville", "mobius"):
         for n in range(1001, 1009):
             argv = ["pair", str(n), "--mode", mode, "--format", "json"]

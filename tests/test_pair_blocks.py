@@ -1,13 +1,13 @@
 """The block partner search of ``pair_range`` against the per-k search.
 
 ``pair_range`` reads its partner edges from arrays, one block of k at a time,
-and goes back to the per-k loop over ``_moves`` from the first block that
-raises.  These tests check the cut table against ``_ordered_cuts``, the
-whole pairing against the per-k loop forced from k = n, and the hand-over
-from a failing block.
+for every n: under a cap below n, a k whose moves need a prime past the cap
+gets no edges, and the search raises at the largest such k still free at its
+turn.  These tests check the cut table against ``_ordered_cuts``, and the
+whole pairing, error or report, against ``oracles.pair_range_reference``, a
+greedy over ``partner_moves`` one k at a time.
 """
 
-import contextlib
 import hashlib
 
 import numpy as np
@@ -20,26 +20,17 @@ from matula import algebra, pairing
 from matula.algebra import _ordered_cuts, value_increasing_cuts
 from matula.errors import CapExceeded
 
+from oracles import pair_range_reference
+
 MODES = ("liouville", "mobius")
 POLICIES = ("largest", "smallest", "first")
 
 
-def _refuse(*args):
-    raise CapExceeded(0, 0)
-
-
-@contextlib.contextmanager
-def _per_k_only():
-    """Send every k of ``pair_range`` through the per-k search."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pairing, "_cut_table", _refuse)
-        yield
-
-
-def _outcome(n, mode, policy, cap):
-    """The report JSON of pair_range, or the type and message it raised."""
+def _outcome(pairing_of, n, mode, policy, cap, table=None):
+    """The report JSON of ``pairing_of`` on ``table`` or a fresh table of the
+    cap, or the type and message it raised."""
     try:
-        return pair_range(n, mode, policy, PrimeTable(cap=cap)).to_json()
+        return pairing_of(n, mode, policy, table or PrimeTable(cap=cap)).to_json()
     except Exception as exc:  # compared, not hidden: both sides must agree
         return type(exc), str(exc)
 
@@ -127,38 +118,50 @@ _N_CAP = _N.flatmap(
 @example(n_cap=(49, 52))  # 7 * 7 fuses to p_16 = 53
 def test_pair_range_matches_the_per_k_search(mode, policy, n_cap):
     n, cap = n_cap
-    blocks = _outcome(n, mode, policy, cap)
-    with _per_k_only():
-        per_k = _outcome(n, mode, policy, cap)
-    assert blocks == per_k
+    expected = _outcome(pair_range_reference, n, mode, policy, cap)
+    assert _outcome(pair_range, n, mode, policy, cap) == expected
+
+
+def test_pair_range_matches_the_per_k_search_in_every_cap_window():
+    # every cap in 2..60 and n from cap - 2 to cap + 12: pairings that run
+    # past the cap, refusals at a prime or a fusion past it, and sieve
+    # refusals (cap 2, n >= 9)
+    outcomes = 0
+    for cap in range(2, 61):
+        table = PrimeTable(cap=cap)  # what either side raises does not depend on its state
+        for n in range(max(cap - 2, 1), cap + 13):
+            for mode in MODES:
+                for policy in POLICIES:
+                    expected = _outcome(pair_range_reference, n, mode, policy, cap, table)
+                    got = _outcome(pair_range, n, mode, policy, cap, table)
+                    assert got == expected, (cap, n, mode, policy)
+                    outcomes += isinstance(got, str)
+    assert 0 < outcomes < 59 * 15 * 6  # both reports and refusals were compared
 
 
 @pytest.mark.parametrize("policy", POLICIES)
 @pytest.mark.parametrize("mode", MODES)
-def test_a_failing_block_is_redone_with_every_later_one(mode, policy):
-    # blocks of n: [2B, n], [B, 2B - 1], [2, B - 1]; the middle one fails
+def test_a_failing_block_propagates_its_error(mode, policy):
+    # blocks of n: [2B, n], [B, 2B - 1], [2, B - 1]; the middle one fails,
+    # and no other search takes over
     n, failing = 2 * _B + 452, _B
     table = PrimeTable()
-    expected = pair_range(n, mode, policy, table).to_json()
     edges = pairing._block_edges
-    factorized = set()
-    plain = table.factorize
+    error = CapExceeded(failing, 0)
+    tops = []
 
-    def fail_once(lo, *args):
+    def fail_once(lo, hi, *args):
+        tops.append(hi)
         if lo == failing:
-            raise CapExceeded(lo, 0)
-        return edges(lo, *args)
-
-    def counting(k):
-        factorized.add(k)
-        return plain(k)
+            raise error
+        return edges(lo, hi, *args)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pairing, "_block_edges", fail_once)
-        mp.setattr(table, "factorize", counting)
-        assert pair_range(n, mode, policy, table).to_json() == expected
-    # the per-k search starts at the top of the failing block, not above it
-    assert failing < max(factorized) <= 2 * failing - 1
+        with pytest.raises(CapExceeded) as raised:
+            pair_range(n, mode, policy, table)
+    assert raised.value is error
+    assert tops == [n, 2 * _B - 1]
 
 
 def test_block_search_and_cut_table_read_ranks_from_the_primes_up_to_n(monkeypatch):
@@ -190,11 +193,13 @@ def test_pair_json_bytes_at_a_million_are_pinned():
 
 
 def _block_columns(lo, hi, policy, live, table):
-    """The five columns k, l, x, y, z of ``_block_edges``' edges of lo..hi."""
+    """The five columns k, l, x, y, z of ``_block_edges``' edges of lo..hi
+    (none of whose k is flagged)."""
     primes = table.primes_up_to(hi)
-    edge_k, edge_l, moves = pairing._block_edges(
+    edge_k, edge_l, moves, flagged = pairing._block_edges(
         lo, hi, policy, live, primes, pairing._cut_table(primes, table), table
     )
+    assert len(flagged) == 0
     xyz = moves(np.arange(len(edge_k)))
     return edge_k, edge_l, *xyz.T
 

@@ -67,8 +67,8 @@ def test_pair_stdout_is_the_list_reports_json_and_a_newline(capsys, table, mode,
 @pytest.mark.parametrize("policy", POLICIES)
 @pytest.mark.parametrize("mode", MODES)
 def test_the_capped_window_streams_what_the_per_k_search_took(capsys, mode, policy):
-    # under --cap 1000 the block search fails at once; the per-k search fills
-    # the same rows
+    # under --cap 1000 the block search pairs past the cap; the CLI streams
+    # the rows as their list report writes them
     for n in range(1001, 1009):
         argv = ["pair", str(n), "--mode", mode, "--policy", policy, "--format", "json"]
         out = _stdout(capsys, "--cap", "1000", *argv)

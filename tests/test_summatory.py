@@ -1,5 +1,4 @@
 import json
-from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,7 +10,6 @@ from hypothesis import strategies as st
 from matula import (
     PairingReport,
     PrimeTable,
-    cuts,
     factor_count,
     is_squarefree,
     liouville,
@@ -182,7 +180,8 @@ def test_sieve_filter_matches_factorization_filter(table):
                 continue
             sieved = [
                 (l, pairing._move_dict(x, y, z))
-                for l, x, y, z in pairing._free_moves(k, free, table)
+                for l, x, y, z in pairing._moves(k, table.factorize(k), table)
+                if free[l]
             ]
             assert sieved == partner_moves(k, mode, table), (mode, k)
         for policy in ("largest", "smallest", "first"):
@@ -213,26 +212,14 @@ def test_pair_range_factorizes_each_k_once_without_squarefree_tests(monkeypatch)
             assert uncapped[mode, policy].pairs
     monkeypatch.undo()
 
-    # a cap below n sends every k through the per-k search (the block search
-    # needs the primes up to n), which still factorizes each k at most once
+    # under a cap below n, no move of a k <= 3000 needs a prime past 2999:
+    # the block search pairs every k, with no factorize or cut list either
     t = PrimeTable(cap=2_999)
-    for q in t.primes_up_to(2_999).tolist():
-        cuts(q, t)  # cuts factorize prime ranks; fill their cache first
-    calls = Counter()
-    plain = t.factorize
-
-    def counting_factorize(k):
-        calls[k] += 1
-        return plain(k)
-
-    monkeypatch.setattr(t, "factorize", counting_factorize)
+    monkeypatch.setattr(t, "factorize", forbidden("factorize"))
     monkeypatch.setattr(pairing, "is_squarefree", forbidden("is_squarefree"))
-    for mode in ("mobius", "liouville"):
-        calls.clear()
-        report = pair_range(3_000, mode, "largest", t)
-        assert report == uncapped[mode, "largest"], mode
-        assert set(calls) <= set(range(2, 3_001)), mode
-        assert max(calls.values()) == 1, mode
+    monkeypatch.setattr(pairing, "_ordered_cuts", forbidden("_ordered_cuts"))
+    for (mode, policy), report in uncapped.items():
+        assert pair_range(3_000, mode, policy, t) == report, (mode, policy)
 
 
 def test_pair_range_trivial(table):
@@ -411,6 +398,19 @@ def test_every_validation_check_can_fail(table, mode, mutation):
 def test_every_mutant_gets_the_per_member_loops_messages(table, mode, mutation):
     mutant, _ = VALIDATION_MUTATIONS[mutation](pair_range(300, mode, "largest", table))
     assert validation_errors(mutant, table) == validation_errors_reference(mutant, table)
+
+
+@pytest.mark.parametrize("n", [0, -5])
+def test_a_report_of_n_below_1_gets_one_error_before_any_sieve(monkeypatch, table, n):
+    # N < 1 leaves nothing to check: one error naming N, and no sign sieve of 0..N
+    def no_sieve(*args):
+        raise AssertionError(f"_signs{args} called")
+
+    monkeypatch.setattr(pairing, "_signs", no_sieve)
+    report = PairingReport(n, "liouville", "fixture", [], [], 0, 0)
+    expected = [f"N must be at least 1, got {n}"]
+    assert validation_errors(report, table) == expected
+    assert validation_errors_reference(report, table) == expected
 
 
 def test_fixture_pairing_of_96_is_valid(table):
